@@ -48,13 +48,16 @@ const (
 	killMidCommit = 1 // power cut during the storm's commit
 )
 
-// checkpoint is one periodic capture: the canonical machine snapshot
-// plus the host-side state the replay needs — the fault plan's
-// progress (so replayed rounds re-fire exactly the faults the
-// original timeline saw) and the parked-flip flag.
+// checkpoint is one periodic capture: the machine snapshot, kept in
+// memory as captured (its pages shared copy-on-write with the machine,
+// never encoded), plus the host-side state the replay needs — the
+// fault plan's progress (so replayed rounds re-fire exactly the faults
+// the original timeline saw) and the parked-flip flag. Restores apply
+// it directly and never mutate it, so one checkpoint can back any
+// number of restores.
 type checkpoint struct {
 	round  int // state after completing this round
-	snap   []byte
+	snap   *snapshot.Snapshot
 	plan   faultinject.PlanState
 	parked bool
 }
@@ -446,7 +449,7 @@ func (mb *member) checkpoint(round int) error {
 	if err != nil {
 		return fmt.Errorf("fleet: machine %d checkpoint: %w", mb.id, err)
 	}
-	ck := &checkpoint{round: round, snap: snap.Encode(), parked: mb.parked}
+	ck := &checkpoint{round: round, snap: snap, parked: mb.parked}
 	if mb.plan != nil {
 		ck.plan = mb.plan.Export()
 	}
@@ -504,7 +507,7 @@ func (mb *member) fault(err error) {
 	mb.discard()
 }
 
-// fail is a non-recoverable supervisor error (checkpoint encode,
+// fail is a non-recoverable supervisor error (checkpoint capture,
 // switch I/O): the member is taken out of rotation and reported.
 func (mb *member) fail(err error) {
 	if mb.err == nil {
@@ -557,10 +560,11 @@ func (mb *member) tryRestart() bool {
 }
 
 // restore rebuilds a fresh incarnation from the last checkpoint:
-// decode, Apply onto a new machine+runtime from the same image,
-// re-attach the fault plan and rewind its progress to the checkpoint
-// (replayed rounds must re-fire the same faults), rewind the parked
-// flag, and point the timeline at the first lost round.
+// Apply the in-memory snapshot (no decode) onto a new machine+runtime
+// from the same image, re-attach the fault plan and rewind its
+// progress to the checkpoint (replayed rounds must re-fire the same
+// faults), rewind the parked flag, and point the timeline at the
+// first lost round.
 func (mb *member) restore() error {
 	if mb.ckpt == nil {
 		return fmt.Errorf("fleet: machine %d has no checkpoint", mb.id)
@@ -570,14 +574,10 @@ func (mb *member) restore() error {
 			return err
 		}
 	}
-	snap, err := snapshot.Decode(mb.ckpt.snap)
-	if err != nil {
-		return err
-	}
 	if err := mb.incarnate(); err != nil {
 		return err
 	}
-	if err := snapshot.Apply(snap, mb.m, mb.rt); err != nil {
+	if err := snapshot.Apply(mb.ckpt.snap, mb.m, mb.rt); err != nil {
 		mb.m, mb.rt = nil, nil
 		return err
 	}

@@ -92,9 +92,24 @@ func (f *Fault) Error() string {
 }
 
 type page struct {
-	data    []byte // always PageSize long
+	data    []byte // always PageSize long; read-only while shared
 	prot    Prot
 	version uint64 // incremented on every write; the icache keys on it
+
+	// shared marks data as aliased — the zero page, an exported
+	// PageState or an imported one — so the first store copies it
+	// (copy-on-write). Host bookkeeping only: no simulated effect.
+	shared bool
+}
+
+// zeroPage backs every freshly mapped page until its first write. It
+// is never written: writeBytes copies a shared page before storing.
+var zeroPage [PageSize]byte
+
+// unshare gives the page private data before its first store.
+func (p *page) unshare() {
+	p.data = append([]byte(nil), p.data...)
+	p.shared = false
 }
 
 // Stats counts the memory-system operations the paper's evaluation
@@ -186,7 +201,7 @@ func (m *Memory) Map(addr, length uint64, prot Prot) error {
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		m.pages[first+i] = &page{data: make([]byte, PageSize), prot: prot}
+		m.pages[first+i] = &page{data: zeroPage[:], prot: prot, shared: true}
 	}
 	return nil
 }
@@ -351,10 +366,16 @@ func (m *Memory) tornWrite(addr uint64, buf []byte, need Prot) error {
 	return err
 }
 
-// writeBytes is the shared store path of Write and WriteForce.
+// writeBytes is the only store path (Write, WriteForce, torn
+// prefixes), so it is where a shared page is copied before its first
+// write.
 func (m *Memory) writeBytes(addr uint64, buf []byte, need Prot) error {
 	pos := 0
 	return m.access(addr, len(buf), AccessWrite, need, func(pg *page, off int, slice []byte) {
+		if pg.shared {
+			pg.unshare()
+			slice = pg.data[off : off+len(slice)]
+		}
 		copy(slice, buf[pos:])
 		pos += len(slice)
 		pg.version++

@@ -5,6 +5,11 @@
 // the CPUs' instruction caches key coherence checks (ICacheStale) on
 // it, so restoring data without versions would let a restored machine
 // disagree with the original about which icache lines are stale.
+//
+// Export and import alias page data instead of copying it: both mark
+// the page shared, and the memory copies a shared page before its
+// next store (see writeBytes). The shared bit is host bookkeeping and
+// is not part of the exported state.
 
 package mem
 
@@ -18,11 +23,15 @@ type PageState struct {
 	PN      uint64 // page number (addr >> PageShift)
 	Prot    Prot
 	Version uint64
-	Data    []byte // PageSize long
+	Data    []byte // PageSize long; read-only (see ExportPages)
 }
 
-// ExportPages returns every mapped page in page-number order. The
-// result shares no memory with the address space.
+// ExportPages returns every mapped page in page-number order. Data
+// aliases the page contents copy-on-write: the page is marked shared,
+// so the address space copies it before its next store and the export
+// keeps the contents it was taken with. An export therefore costs one
+// slice header per page, not a page copy. Data is read-only — writing
+// through it would change every memory and export that shares it.
 func (m *Memory) ExportPages() []PageState {
 	pns := make([]uint64, 0, len(m.pages))
 	for pn := range m.pages {
@@ -32,11 +41,12 @@ func (m *Memory) ExportPages() []PageState {
 	out := make([]PageState, 0, len(pns))
 	for _, pn := range pns {
 		p := m.pages[pn]
+		p.shared = true
 		out = append(out, PageState{
 			PN:      pn,
 			Prot:    p.prot,
 			Version: p.version,
-			Data:    append([]byte(nil), p.data...),
+			Data:    p.data,
 		})
 	}
 	return out
@@ -45,7 +55,10 @@ func (m *Memory) ExportPages() []PageState {
 // ImportPages replaces the entire address space with the given pages —
 // wholesale, so the restored mapping is exactly the exported one
 // regardless of what the caller had mapped before (a freshly loaded
-// image, extra CPU stacks, anything). Stats and policy flags are left
+// image, extra CPU stacks, anything). Like ExportPages it aliases each
+// page's Data copy-on-write instead of copying it, so the caller must
+// treat pages as read-only from here on; the address space copies a
+// page before its first store. Stats and policy flags are left
 // untouched; the snapshot layer restores Stats separately.
 func (m *Memory) ImportPages(pages []PageState) error {
 	fresh := make(map[uint64]*page, len(pages))
@@ -61,9 +74,10 @@ func (m *Memory) ImportPages(pages []PageState) error {
 			return fmt.Errorf("mem: page %#x: %w", ps.PN, err)
 		}
 		fresh[ps.PN] = &page{
-			data:    append([]byte(nil), ps.Data...),
+			data:    ps.Data,
 			prot:    ps.Prot,
 			version: ps.Version,
+			shared:  true,
 		}
 	}
 	m.pages = fresh

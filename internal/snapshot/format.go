@@ -43,16 +43,16 @@ const headerLen = 8 + 4 + 4 + 8
 // maxPayload bounds a plausible payload; anything larger is corruption.
 const maxPayload = 1 << 30
 
-// seal wraps a payload in the container: header, payload, CRC.
-func seal(payload []byte) []byte {
-	out := make([]byte, 0, headerLen+len(payload)+4)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, 0) // flags
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return out
+// seal completes a container in place: buf holds headerLen reserved
+// bytes followed by the payload, and has exactly 4 bytes of spare
+// capacity for the CRC, so sealing neither copies nor reallocates.
+func seal(buf []byte) []byte {
+	payload := buf[headerLen:]
+	copy(buf, magic[:])
+	binary.LittleEndian.PutUint32(buf[8:], Version)
+	binary.LittleEndian.PutUint32(buf[12:], 0) // flags
+	binary.LittleEndian.PutUint64(buf[16:], uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 }
 
 // unseal validates the container and returns the payload.
@@ -97,20 +97,69 @@ func Digest(data []byte) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// writer builds a payload. Append-only, infallible.
+// writer builds a payload. Append-only, infallible. A sizing writer
+// only counts the bytes it would append: Encode runs its body once
+// sizing and once writing, so the output is allocated exactly once.
 type writer struct {
-	b []byte
+	b      []byte
+	sizing bool
+	n      int // bytes counted while sizing
 }
 
-func (w *writer) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *writer) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *writer) bytes(v []byte) {
-	w.u32(uint32(len(v)))
+func (w *writer) u8(v uint8) {
+	if w.sizing {
+		w.n++
+		return
+	}
+	w.b = append(w.b, v)
+}
+
+func (w *writer) u16(v uint16) {
+	if w.sizing {
+		w.n += 2
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint16(w.b, v)
+}
+
+func (w *writer) u32(v uint32) {
+	if w.sizing {
+		w.n += 4
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint32(w.b, v)
+}
+
+func (w *writer) u64(v uint64) {
+	if w.sizing {
+		w.n += 8
+		return
+	}
+	w.b = binary.LittleEndian.AppendUint64(w.b, v)
+}
+
+// raw appends v without a length prefix.
+func (w *writer) raw(v []byte) {
+	if w.sizing {
+		w.n += len(v)
+		return
+	}
 	w.b = append(w.b, v...)
 }
-func (w *writer) str(v string) { w.bytes([]byte(v)) }
+
+func (w *writer) bytes(v []byte) {
+	w.u32(uint32(len(v)))
+	w.raw(v)
+}
+
+func (w *writer) str(v string) {
+	w.u32(uint32(len(v)))
+	if w.sizing {
+		w.n += len(v)
+		return
+	}
+	w.b = append(w.b, v...)
+}
 
 // reader parses a payload with sticky-error bounds checking: once any
 // read runs past the end, every subsequent read returns zero values

@@ -79,6 +79,13 @@ var ErrNotQuiesced = core.ErrNotQuiesced
 // Capture exports the machine's complete state. rt may be nil when no
 // runtime is attached; when present it must be commit-quiesced —
 // capturing inside an open transaction fails with ErrNotQuiesced.
+//
+// Memory pages are not copied: Pages alias the machine's pages
+// copy-on-write (mem.ExportPages), so a capture costs one slice header
+// per page and the machine copies a page only when it next writes it.
+// The snapshot's page data is read-only; Apply shares it the same way
+// with the machine it restores, so one snapshot can be applied any
+// number of times.
 func Capture(m *machine.Machine, rt *core.Runtime) (*Snapshot, error) {
 	s := &Snapshot{
 		SimCycles: m.CPU.Cycles(),
@@ -145,11 +152,22 @@ func Apply(s *Snapshot, m *machine.Machine, rt *core.Runtime) error {
 	return nil
 }
 
-// Encode serializes the snapshot into the versioned container.
+// Encode serializes the snapshot into the versioned container. It
+// sizes the payload first and then writes header, payload and CRC into
+// one buffer of exactly the final length: one allocation, no regrowth
+// and no copy while sealing.
 func (s *Snapshot) Encode() []byte {
-	var w writer
+	size := writer{sizing: true}
+	s.putBody(&size)
+	w := writer{b: make([]byte, headerLen, headerLen+size.n+4)}
+	s.putBody(&w)
+	return seal(w.b)
+}
+
+// putBody writes the payload: everything between header and CRC.
+func (s *Snapshot) putBody(w *writer) {
 	w.u64(s.SimCycles)
-	w.b = append(w.b, s.ImageSum[:]...)
+	w.raw(s.ImageSum[:])
 	w.bytes(s.Console)
 	w.u32(uint32(len(s.Pages)))
 	for i := range s.Pages {
@@ -159,18 +177,17 @@ func (s *Snapshot) Encode() []byte {
 		w.u64(p.Version)
 		w.bytes(p.Data)
 	}
-	putCounters(&w, s.MemStats)
+	putCounters(w, &s.MemStats)
 	w.u32(uint32(len(s.CPUs)))
 	for i := range s.CPUs {
-		putCPU(&w, &s.CPUs[i])
+		putCPU(w, &s.CPUs[i])
 	}
 	if s.Runtime == nil {
 		w.u8(0)
 	} else {
 		w.u8(1)
-		putRuntime(&w, s.Runtime)
+		putRuntime(w, s.Runtime)
 	}
-	return seal(w.b)
 }
 
 // Decode validates the container (magic, version, length, CRC) and
@@ -249,7 +266,7 @@ func putCPU(w *writer, s *cpu.State) {
 		putU16s(w, ls.SBHeads)
 		putU16s(w, ls.SBRject)
 	}
-	putCounters(w, s.Stats)
+	putCounters(w, &s.Stats)
 }
 
 func getCPU(r *reader, s *cpu.State) {
@@ -312,7 +329,7 @@ func putRuntime(w *writer, s *core.RuntimeState) {
 		w.str(d.Name)
 		w.u8(d.Kind)
 	}
-	putCounters(w, s.Stats)
+	putCounters(w, &s.Stats)
 	w.u64(s.OpSeq)
 }
 
@@ -377,12 +394,12 @@ func getBool(r *reader) bool {
 }
 
 // putCounters serializes a flat statistics struct (all int or uint64
-// fields) by reflection, field-count-prefixed: a counter added to
-// cpu.Stats, mem.Stats or core.RuntimeStats is picked up
-// automatically, and a reader built for a different field count
+// fields), passed by pointer, by reflection, field-count-prefixed: a
+// counter added to cpu.Stats, mem.Stats or core.RuntimeStats is picked
+// up automatically, and a reader built for a different field count
 // reports format drift instead of silently misparsing.
 func putCounters(w *writer, v any) {
-	rv := reflect.ValueOf(v)
+	rv := reflect.ValueOf(v).Elem()
 	w.u32(uint32(rv.NumField()))
 	for i := 0; i < rv.NumField(); i++ {
 		f := rv.Field(i)
