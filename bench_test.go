@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/faultinject"
 	"repro/internal/grepsim"
 	"repro/internal/isa"
 	"repro/internal/kernelsim"
@@ -169,7 +170,9 @@ func BenchmarkFig5Musl(b *testing.B) {
 // neither accelerator may change any simulated cycle (see
 // internal/difftest), only the host-side insts/sec metric. The
 // acceptance bar is superblocks ≥2x over the decode-cache-only
-// "cached" baseline.
+// "cached" baseline. The "injected" mode attaches a fault plan that
+// arms only patching-runtime points (protection flips), which must
+// leave the CPU on superblocks: it should run at "superblocks" speed.
 func BenchmarkInterpreterThroughput(b *testing.B) {
 	const textBase, iters = uint64(0x400000), int32(10_000)
 	program := func() []byte {
@@ -195,16 +198,18 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 		cached  bool
 		blocks  bool
 		collect func() *trace.Collector // nil = no tracer
+		inject  bool                    // attach a protect-only fault plan
 	}{
-		{"superblocks", true, true, nil},
-		{"cached", true, false, nil},
-		{"uncached", false, false, nil},
+		{"superblocks", true, true, nil, false},
+		{"injected", true, true, nil, true},
+		{"cached", true, false, nil, false},
+		{"uncached", false, false, nil, false},
 		{"cached+traced", true, false, func() *trace.Collector {
 			return trace.NewCollector(trace.Options{})
-		}},
+		}, false},
 		{"cached+profiled", true, false, func() *trace.Collector {
 			return trace.NewCollector(trace.Options{Profile: true})
-		}},
+		}, false},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -224,6 +229,9 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 					{Name: "hotloop", Addr: textBase, Size: uint64(len(program))},
 				}))
 				c.SetTracer(col.NewStream("cpu0", c.Cycles))
+			}
+			if mode.inject {
+				c.SetInjector(faultinject.Exact(faultinject.Point{Kind: faultinject.KindProtect, Transient: true}), 0)
 			}
 			var insts uint64
 			b.ResetTimer()

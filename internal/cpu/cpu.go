@@ -57,17 +57,22 @@ type Hypervisor interface {
 
 // Injector is the CPU-side fault-injection hook (see
 // internal/faultinject, which implements it together with the
-// mem-side hooks). A nil injector disables injection entirely: Run
-// selects the hook-free stepFastN loop, so the unobserved hot path is
-// untouched — the same pattern as Tracer. Implementations must be
-// deterministic.
+// mem-side hooks). A nil injector disables injection entirely.
+// Run and RunUntil keep the superblock fast path (stepFastN) while no
+// fetch fault is armed for this thread, so an injector whose plan
+// targets only the patching runtime (protection flips, dropped
+// flushes) costs the interpreter one FetchFaultArmed call per Run.
+// Implementations must be deterministic.
 type Injector interface {
 	// FetchFault is consulted once per Step before fetch; a non-nil
 	// error models a spurious instruction-fetch fault. The PC does not
-	// advance, so re-stepping retries the same instruction. Consulted
-	// per instruction: Run drops to single-step dispatch (no
-	// superblocks) whenever an injector is installed.
+	// advance, so re-stepping retries the same instruction.
 	FetchFault(cpu int, pc, cycles uint64) error
+	// FetchFaultArmed reports whether a FetchFault for this hardware
+	// thread may still fire. While it does, Run and RunUntil dispatch
+	// every instruction through Step so the fault lands on its exact
+	// instruction; once it reports false they run superblocks.
+	FetchFaultArmed(cpu int) bool
 	// DropFlush reports whether this CPU should silently lose the
 	// icache invalidation for [addr, addr+n) — a dropped SMP shootdown
 	// IPI. The CPU keeps executing its stale snapshot until the next
@@ -246,7 +251,7 @@ type CPU struct {
 	hypervisor Hypervisor
 	tracer     trace.Tracer
 
-	inject Injector // nil = no fault injection (Run keeps stepFastN)
+	inject Injector // nil = no fault injection
 	id     int      // hardware-thread index the injector keys faults on
 
 	intrPeriod uint64 // perturbation period in cycles; 0 = off
@@ -275,21 +280,42 @@ type CPU struct {
 }
 
 type icLine struct {
-	bytes   []byte // snapshot of the page at fill time
+	// bytes is the snapshot of the page at fill time. It is immutable:
+	// exported States and imported lines share it instead of copying.
+	bytes   []byte
 	version uint64 // page version at fill time; ICacheStale compares it
 
-	// dec lazily caches instructions decoded from bytes, indexed by
-	// in-page offset (Len == 0 means not decoded). It lives and dies
-	// with the line, so FlushICache invalidates both together — see
-	// decodecache.go.
-	dec []isa.Inst
+	// ents holds the derived caches for the offsets actually executed
+	// (decodecache.go, superblock.go), densely, in first-use order.
+	// They derive only from bytes and die with the line, so
+	// FlushICache invalidates both together. nsb counts real
+	// (non-sentinel) blocks so FlushICache can account invalidations
+	// without rescanning.
+	ents []lineEnt
+	nsb  int
 
-	// sb lazily caches superblocks headed at each in-page offset
-	// (superblock.go); like dec, blocks derive only from bytes and die
-	// with the line. nsb counts real (non-sentinel) blocks so
-	// FlushICache can account invalidations without rescanning.
-	sb  []*superblock
-	nsb int
+	// idx maps an in-page offset to 1 + its index in ents; 0 means
+	// nothing is cached there. It is pointer-free and the last field,
+	// so the garbage collector never scans it.
+	idx [mem.PageSize]uint16
+}
+
+// lineEnt is the cached state of one in-page offset.
+type lineEnt struct {
+	in isa.Inst    // predecoded instruction; Len == 0 = not decoded
+	sb *superblock // block headed here, the sbReject sentinel, or nil
+}
+
+// ent returns the entry for in-page offset off, appending an empty one
+// on first use. The pointer is valid until the next ent call.
+func (l *icLine) ent(off uint64) *lineEnt {
+	i := l.idx[off]
+	if i == 0 {
+		l.ents = append(l.ents, lineEnt{})
+		i = uint16(len(l.ents))
+		l.idx[off] = i
+	}
+	return &l.ents[i-1]
 }
 
 // New returns a CPU executing from m with the given cost model.
@@ -319,8 +345,9 @@ func (c *CPU) Tracer() trace.Tracer { return c.tracer }
 
 // SetInjector installs (or, with nil, removes) the fault injector and
 // this CPU's hardware-thread index, which the injector uses to bind
-// faults to one SMP thread. With a nil injector the hot path is
-// byte-identical to an injection-free build.
+// faults to one SMP thread. With a nil injector, or one with no fetch
+// fault armed for this thread, Run executes exactly as in an
+// injection-free build.
 func (c *CPU) SetInjector(inj Injector, id int) { c.inject = inj; c.id = id }
 
 // Injector returns the installed fault injector, if any.
@@ -526,15 +553,15 @@ func (c *CPU) Step() error {
 		}
 	}
 	if c.decodeCache {
-		if in, ok := c.cachedInst(pc); ok {
+		if in := c.cachedInst(pc); in != nil {
 			c.stats.DecodeHits++
 			if c.Trace != nil {
-				c.Trace(pc, in)
+				c.Trace(pc, *in)
 			}
 			if c.tracer != nil {
 				c.tracer.Step(pc, c.cycles)
 			}
-			return c.exec(in)
+			return c.exec(*in)
 		}
 	}
 	return c.stepDecode(pc)
@@ -998,13 +1025,22 @@ func (c *CPU) rasPop(actual uint64) bool {
 	return c.ras[c.rasN%len(c.ras)] == actual
 }
 
+// stepHooked reports whether Run and RunUntil must dispatch every
+// instruction through Step: a Trace callback or tracer observes each
+// one, or an armed fetch fault must land on its exact instruction.
+// Hooks are bound before a run and a fetch fault can only be disarmed
+// by firing, which ends the run with its error, so the answer holds
+// for a whole Run.
+func (c *CPU) stepHooked() bool {
+	return c.Trace != nil || c.tracer != nil ||
+		(c.inject != nil && c.inject.FetchFaultArmed(c.id))
+}
+
 // Run executes until HLT, an error, or maxSteps instructions. It
 // returns the number of instructions executed.
 func (c *CPU) Run(maxSteps uint64) (uint64, error) {
 	var steps uint64
-	// Hooks are bound before Run and cannot appear mid-run, so the
-	// per-instruction nil checks can be hoisted out of the loop.
-	if c.Trace == nil && c.tracer == nil && c.inject == nil {
+	if !c.stepHooked() {
 		for steps < maxSteps {
 			if c.halted {
 				return steps, nil

@@ -9,6 +9,11 @@
 // the icache-flush discipline the paper's patching runtime already
 // follows, so the decode cache simply lives inside the icache line:
 //
+//   - A line caches only the offsets it has decoded: a pointer-free
+//     per-offset index (two bytes per page byte) selects a dense entry
+//     holding the decoded instruction and the superblock headed there.
+//     A fresh line therefore costs its byte snapshot plus the index,
+//     and grows only with the code actually run.
 //   - Entries are derived exclusively from the line's byte snapshot
 //     and die with the line in FlushICache. Patching without a flush
 //     therefore keeps executing the stale *decoded* instruction, just
@@ -63,25 +68,30 @@ func (c *CPU) SetDecodeCache(on bool) { c.decodeCache = on }
 // decode cache.
 func (c *CPU) DecodeCacheEnabled() bool { return c.decodeCache }
 
-// cachedInst returns the predecoded instruction at pc, if present. It
+// cachedInst returns the predecoded instruction at pc, or nil. The
+// pointer aims into the line's entries and is valid until the next
+// cacheInst or buildBlock on that line, which is all Step needs. It
 // memoizes the last icache line to keep the steady-state hit path free
 // of map lookups; FlushICache clears the memo along with the lines.
-func (c *CPU) cachedInst(pc uint64) (isa.Inst, bool) {
+func (c *CPU) cachedInst(pc uint64) *isa.Inst {
 	pn := pc >> mem.PageShift
 	line := c.lastLine
 	if line == nil || c.lastPN != pn {
 		var ok bool
 		line, ok = c.icache[pn]
 		if !ok {
-			return isa.Inst{}, false
+			return nil
 		}
 		c.lastPN, c.lastLine = pn, line
 	}
-	if line.dec == nil {
-		return isa.Inst{}, false
+	i := line.idx[pc&(mem.PageSize-1)]
+	if i == 0 {
+		return nil
 	}
-	in := line.dec[pc&(mem.PageSize-1)]
-	return in, in.Len != 0
+	if in := &line.ents[i-1].in; in.Len != 0 {
+		return in
+	}
+	return nil
 }
 
 // cacheInst records the decode of the instruction at pc, provided its
@@ -99,8 +109,5 @@ func (c *CPU) cacheInst(pc uint64, in isa.Inst) {
 	if !ok {
 		return
 	}
-	if line.dec == nil {
-		line.dec = make([]isa.Inst, mem.PageSize)
-	}
-	line.dec[off] = in
+	line.ent(off).in = in
 }

@@ -52,7 +52,7 @@ type BTBState struct {
 type ICLineState struct {
 	PN      uint64 // page number
 	Version uint64 // page write-version at fill time
-	Bytes   []byte // PageSize-long snapshot
+	Bytes   []byte // PageSize-long snapshot; read-only (see ExportState)
 
 	Decoded []uint16 // in-page offsets with a predecoded instruction
 	SBHeads []uint16 // in-page offsets heading a real superblock
@@ -85,8 +85,12 @@ type State struct {
 	Stats  Stats
 }
 
-// ExportState captures this CPU's complete state. The result shares no
-// memory with the CPU: mutating either afterwards is safe.
+// ExportState captures this CPU's complete state. Each ICLineState's
+// Bytes shares the line's immutable byte snapshot instead of copying
+// it, the way mem.ExportPages shares page data: Bytes is read-only —
+// writing through it would change the exporting CPU's icache and every
+// CPU the state is imported into. Everything else is copied, so
+// mutating the rest of the State or the CPU afterwards is safe.
 func (c *CPU) ExportState() State {
 	s := State{
 		Regs:        c.regs,
@@ -117,22 +121,21 @@ func (c *CPU) ExportState() State {
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	for _, pn := range pns {
 		line := c.icache[pn]
-		ls := ICLineState{PN: pn, Version: line.version, Bytes: append([]byte(nil), line.bytes...)}
-		if line.dec != nil {
-			for off, in := range line.dec {
-				if in.Len != 0 {
-					ls.Decoded = append(ls.Decoded, uint16(off))
-				}
-			}
-		}
-		if line.sb != nil {
-			for off, b := range line.sb {
-				if b == nil {
+		ls := ICLineState{PN: pn, Version: line.version, Bytes: line.bytes}
+		if len(line.ents) > 0 {
+			for off, i := range &line.idx {
+				if i == 0 {
 					continue
 				}
-				if len(b.entries) == 0 {
+				e := &line.ents[i-1]
+				if e.in.Len != 0 {
+					ls.Decoded = append(ls.Decoded, uint16(off))
+				}
+				switch {
+				case e.sb == nil:
+				case len(e.sb.entries) == 0:
 					ls.SBRject = append(ls.SBRject, uint16(off))
-				} else {
+				default:
 					ls.SBHeads = append(ls.SBHeads, uint16(off))
 				}
 			}
@@ -164,10 +167,12 @@ func decodeLineInst(line *icLine, off int) (isa.Inst, error) {
 // ImportState restores a previously exported state onto this CPU. The
 // CPU must have been constructed with the same Config the exporting
 // CPU used (the predictor geometry is checked; the cost model is the
-// caller's contract). Derived caches are rebuilt from the line byte
-// snapshots and the statistics then overwritten from the snapshot, so
-// a restored CPU's counters evolve bit-identically to the exporting
-// run.
+// caller's contract). The restored lines share each ICLineState's
+// Bytes (read-only, as ExportState documents), so one State can be
+// imported any number of times without copying. Derived caches are
+// rebuilt from the line byte snapshots and the statistics then
+// overwritten from the snapshot, so a restored CPU's counters evolve
+// bit-identically to the exporting run.
 func (c *CPU) ImportState(s State) error {
 	if len(s.BTB) != len(c.btb) {
 		return fmt.Errorf("cpu: snapshot BTB has %d entries, this CPU %d (different Config)", len(s.BTB), len(c.btb))
@@ -184,19 +189,19 @@ func (c *CPU) ImportState(s State) error {
 		if _, dup := icache[ls.PN]; dup {
 			return fmt.Errorf("cpu: snapshot repeats icache line %#x", ls.PN)
 		}
-		line := &icLine{bytes: append([]byte(nil), ls.Bytes...), version: ls.Version}
-		if len(ls.Decoded) > 0 {
-			line.dec = make([]isa.Inst, mem.PageSize)
-			for _, off := range ls.Decoded {
-				if int(off)+maxInstLen > mem.PageSize {
-					return fmt.Errorf("cpu: snapshot decode offset %#x too close to the line end", off)
-				}
-				in, err := decodeLineInst(line, int(off))
-				if err != nil {
-					return fmt.Errorf("cpu: rebuilding decode cache for line %#x: %w", ls.PN, err)
-				}
-				line.dec[off] = in
+		line := &icLine{bytes: ls.Bytes, version: ls.Version}
+		if n := len(ls.Decoded) + len(ls.SBHeads) + len(ls.SBRject); n > 0 {
+			line.ents = make([]lineEnt, 0, n) // at most one entry per listed offset
+		}
+		for _, off := range ls.Decoded {
+			if int(off)+maxInstLen > mem.PageSize {
+				return fmt.Errorf("cpu: snapshot decode offset %#x too close to the line end", off)
 			}
+			in, err := decodeLineInst(line, int(off))
+			if err != nil {
+				return fmt.Errorf("cpu: rebuilding decode cache for line %#x: %w", ls.PN, err)
+			}
+			line.ent(uint64(off)).in = in
 		}
 		icache[ls.PN] = line
 	}
@@ -245,9 +250,11 @@ func (c *CPU) ImportState(s State) error {
 
 // RunUntil executes until the cycle counter reaches target, the CPU
 // halts, an error occurs, or maxSteps instructions retire. It returns
-// the number of instructions executed.
+// the number of instructions executed. Like Run it dispatches through
+// Step only while a tracer observes or a fetch fault is armed for this
+// thread (stepHooked); otherwise it takes the superblock fast path.
 //
-// The pause point never perturbs the run: on the hook-free fast path
+// The pause point never perturbs the run: on the fast path
 // the superblock chain is interrupted only between block dispatches
 // (execBlock is never asked to split a block it would otherwise run
 // whole, which would change the BlockHits accounting), so a run paused
@@ -256,7 +263,7 @@ func (c *CPU) ImportState(s State) error {
 // checkpoint difftests pin.
 func (c *CPU) RunUntil(target, maxSteps uint64) (uint64, error) {
 	var steps uint64
-	if c.Trace == nil && c.tracer == nil && c.inject == nil {
+	if !c.stepHooked() {
 		c.cycleStop = target
 		defer func() { c.cycleStop = 0 }()
 		for steps < maxSteps && c.cycles < target {

@@ -37,10 +37,10 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 
 	lineSerialized := map[string]bool{
 		"bytes": true, "version": true,
-		// dec, sb and nsb are serialized as offset lists (ICLineState
+		// ents and idx are serialized as offset lists (ICLineState
 		// Decoded/SBHeads/SBRject) and rebuilt deterministically from
 		// bytes at import; nsb is re-derived by the buildBlock calls.
-		"dec": true, "sb": true, "nsb": true,
+		"ents": true, "idx": true, "nsb": true,
 	}
 	checkFields(t, reflect.TypeOf(icLine{}), lineSerialized, nil)
 }

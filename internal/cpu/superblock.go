@@ -46,10 +46,15 @@
 // predictor updates, operation order on fault paths), and the dispatch
 // loop runs the same per-instruction epilogue — cycle charge, pc
 // advance, interrupt-perturbation check. Blocks run only from the
-// hook-free fast path (no Trace callback, no tracer, no fault
-// injector), so the observability and injection hooks always see
-// true single-instruction execution. internal/difftest pins E1/E4
-// simulated cycles bit-identical with superblocks on and off.
+// fast path, which Run selects when no Trace callback or tracer is
+// attached and no fetch fault is armed for this thread (stepHooked),
+// so the observability hooks and fetch faults always see true
+// single-instruction execution. A fault injector whose plan arms only
+// runtime-side points (protection flips, dropped flushes) keeps the
+// fast path: those hooks fire in mem and FlushICache, identically from
+// blocks and from Step. internal/difftest pins E1/E4 simulated cycles
+// bit-identical with superblocks on and off, and with and without an
+// armed fetch fault.
 
 package cpu
 
@@ -134,10 +139,11 @@ func (c *CPU) cachedBlock(pc uint64) (*superblock, *icLine) {
 		}
 		c.lastPN, c.lastLine = pn, line
 	}
-	if line.sb == nil {
+	i := line.idx[pc&(mem.PageSize-1)]
+	if i == 0 {
 		return nil, line
 	}
-	return line.sb[pc&(mem.PageSize-1)], line
+	return line.ents[i-1].sb, line
 }
 
 // sbTerminator reports whether op ends a block as its final,
@@ -154,9 +160,6 @@ func sbTerminator(op isa.Op) bool {
 // snapshot and caches it on the line. Build is pure host work: no
 // simulated state changes and no simulated cycles pass.
 func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
-	if line.sb == nil {
-		line.sb = make([]*superblock, mem.PageSize)
-	}
 	pn := pc >> mem.PageShift
 	b := &superblock{}
 	cur := pc
@@ -200,7 +203,7 @@ func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
 		line.nsb++
 		c.stats.BlockBuilds++
 	}
-	line.sb[pc&(mem.PageSize-1)] = b
+	line.ent(pc & (mem.PageSize - 1)).sb = b
 	return b
 }
 
@@ -252,8 +255,8 @@ func (c *CPU) execBlock(b *superblock, budget uint64) (uint64, error) {
 	return done, nil
 }
 
-// stepFastN is the fast-path dispatcher Run drives when no hooks are
-// installed: it executes up to budget instructions (at least one),
+// stepFastN is the fast-path dispatcher Run drives when stepHooked
+// reports false: it executes up to budget instructions (at least one),
 // chaining block to block — a terminator whose target heads another
 // resident or buildable block continues dispatching without
 // re-entering Run (HLT never lives inside a block, so the halted
@@ -296,9 +299,9 @@ func (c *CPU) stepFastN(budget uint64) (uint64, error) {
 	// retire, so it must not count against the caller's step budget —
 	// the same contract as Run's Step loop.
 	if c.decodeCache {
-		if in, ok := c.cachedInst(pc); ok {
+		if in := c.cachedInst(pc); in != nil {
 			c.stats.DecodeHits++
-			if err := c.exec(in); err != nil {
+			if err := c.exec(*in); err != nil {
 				return 0, err
 			}
 			return 1, nil
@@ -316,8 +319,9 @@ func (c *CPU) stepFastN(budget uint64) (uint64, error) {
 // a line-for-line mirror of its exec() case: same costs, same stat
 // counters, same operation order on fault paths (the difftests and the
 // chaining fuzz test hold them to it). Handlers never touch tracers or
-// injectors — blocks only run on the hook-free path, where both are
-// nil by construction.
+// the fetch-fault hook — blocks only run when neither is in play (see
+// stepHooked). Memory-side fault hooks fire inside Mem, exactly as
+// they do under exec().
 
 var sbOps [256]sbFn
 

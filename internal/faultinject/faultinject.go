@@ -14,7 +14,11 @@
 // hardware thread) or simulated cycles, that the mem and cpu hot paths
 // consult through nil-checkable hooks (mem.Injector, cpu.Injector —
 // the same pattern as trace.Tracer, so the uninjected fast paths stay
-// untouched).
+// untouched). Attaching a plan does not cost the interpreter its
+// superblock fast path: a CPU drops to per-instruction Step dispatch
+// only while the plan holds an unfired fetch fault for that hardware
+// thread (Plan.FetchFaultArmed), so plans that target the patching
+// runtime alone run guest code at full speed.
 //
 // Every fault point fires exactly once. That makes retry loops
 // provably terminating: a bounded retry against a finite plan either
@@ -407,6 +411,19 @@ func (p *Plan) FetchFault(cpu int, pc, cycles uint64) error {
 		Addr:  pc,
 		inner: &mem.Fault{Addr: pc, Kind: mem.AccessExec, Prot: mem.RX, Mapped: true},
 	}
+}
+
+// FetchFaultArmed implements cpu.Injector: it reports whether an
+// unfired KindFetchFault point targets cpu. Points are disarmed only
+// by firing or re-armed by Import, so the answer changes only at those
+// two events.
+func (p *Plan) FetchFaultArmed(cpu int) bool {
+	for i, pt := range p.points {
+		if !p.fired[i] && pt.Kind == KindFetchFault && pt.CPU == cpu {
+			return true
+		}
+	}
+	return false
 }
 
 // Plan satisfies the union injector interface (and with it the mem-

@@ -177,3 +177,53 @@ func TestPokeStepPointInvokesCallback(t *testing.T) {
 		t.Fatalf("Total = %d, want 1", p.Stats.Total())
 	}
 }
+
+// FetchFaultArmed decides whether a CPU may leave per-instruction Step
+// dispatch, so it must track exactly the unfired fetch points of that
+// hardware thread — including across the Export/Import restore path a
+// fleet takes after a machine kill.
+func TestFetchFaultArmed(t *testing.T) {
+	runtimeOnly := Exact(
+		Point{Kind: KindProtect, Op: 0, Transient: true},
+		Point{Kind: KindDropFlush, Op: 1, CPU: 1, Transient: true},
+	)
+	for cpu := 0; cpu < 2; cpu++ {
+		if runtimeOnly.FetchFaultArmed(cpu) {
+			t.Fatalf("protect/drop-flush plan reports a fetch fault armed on cpu %d", cpu)
+		}
+	}
+
+	p := Exact(
+		Point{Kind: KindProtect, Op: 0, Transient: true},
+		Point{Kind: KindFetchFault, CPU: 1, Cycle: 500, Transient: true},
+	)
+	before := p.Export()
+	if !p.FetchFaultArmed(1) {
+		t.Fatal("unfired fetch point on cpu 1 is not reported armed")
+	}
+	if p.FetchFaultArmed(0) {
+		t.Fatal("fetch point on cpu 1 reported armed on cpu 0")
+	}
+	if err := p.FetchFault(1, 0x400000, 499); err != nil {
+		t.Fatalf("fetch fault fired before its cycle: %v", err)
+	}
+	if !p.FetchFaultArmed(1) {
+		t.Fatal("fetch point disarmed without firing")
+	}
+	if err := p.FetchFault(1, 0x400000, 500); err == nil {
+		t.Fatal("fetch fault did not fire at its cycle")
+	}
+	if p.FetchFaultArmed(1) {
+		t.Fatal("fetch point still armed after firing")
+	}
+
+	if err := p.Import(before); err != nil {
+		t.Fatalf("Import: %v", err)
+	}
+	if !p.FetchFaultArmed(1) {
+		t.Fatal("importing a state captured before the fault did not re-arm it")
+	}
+	if p.FetchFaultArmed(0) {
+		t.Fatal("re-armed fetch point reported on cpu 0")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
 )
@@ -313,6 +314,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if !bytes.Equal(got.Encode(), data) {
 			t.Fatal("accepted a non-canonical encoding")
+		}
+		// Rebuilding icache lines from accepted CPU states may refuse
+		// them but must never panic.
+		for _, cs := range got.CPUs {
+			_ = cpu.New(s.Machine.Mem, cpu.DefaultConfig()).ImportState(cs)
 		}
 	})
 }
