@@ -164,15 +164,15 @@ func BenchmarkFig5Musl(b *testing.B) {
 
 // BenchmarkInterpreterThroughput measures how many simulated
 // instructions per host second the interpreter retires on a hot loop,
-// across the host-side accelerator axes: the predecoded-instruction
-// cache and the superblock threaded-dispatch layer. Unlike the
-// experiment benchmarks above, the ns/op column here IS the result:
-// neither accelerator may change any simulated cycle (see
-// internal/difftest), only the host-side insts/sec metric. The
-// acceptance bar is superblocks ≥2x over the decode-cache-only
-// "cached" baseline. The "injected" mode attaches a fault plan that
-// arms only patching-runtime points (protection flips), which must
-// leave the CPU on superblocks: it should run at "superblocks" speed.
+// with and without the superblock threaded-dispatch layer over the
+// predecoded-instruction cache. Unlike the experiment benchmarks
+// above, the ns/op column here IS the result: superblocks may not
+// change any simulated cycle (see internal/difftest), only the
+// host-side insts/sec metric. The acceptance bar is superblocks ≥2x
+// over the decode-cache-only "cached" baseline. The "injected" mode
+// attaches a fault plan that arms only patching-runtime points
+// (protection flips), which must leave the CPU on superblocks: it
+// should run at "superblocks" speed.
 func BenchmarkInterpreterThroughput(b *testing.B) {
 	const textBase, iters = uint64(0x400000), int32(10_000)
 	program := func() []byte {
@@ -195,19 +195,17 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 	// each hook is one pointer-nil check.
 	modes := []struct {
 		name    string
-		cached  bool
 		blocks  bool
 		collect func() *trace.Collector // nil = no tracer
 		inject  bool                    // attach a protect-only fault plan
 	}{
-		{"superblocks", true, true, nil, false},
-		{"injected", true, true, nil, true},
-		{"cached", true, false, nil, false},
-		{"uncached", false, false, nil, false},
-		{"cached+traced", true, false, func() *trace.Collector {
+		{"superblocks", true, nil, false},
+		{"injected", true, nil, true},
+		{"cached", false, nil, false},
+		{"cached+traced", false, func() *trace.Collector {
 			return trace.NewCollector(trace.Options{})
 		}, false},
-		{"cached+profiled", true, false, func() *trace.Collector {
+		{"cached+profiled", false, func() *trace.Collector {
 			return trace.NewCollector(trace.Options{Profile: true})
 		}, false},
 	}
@@ -221,7 +219,6 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			c := cpu.New(m, cpu.DefaultConfig())
-			c.SetDecodeCache(mode.cached)
 			c.SetSuperblocks(mode.blocks)
 			if mode.collect != nil {
 				col := mode.collect()

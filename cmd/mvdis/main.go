@@ -109,7 +109,7 @@ func dumpImage(img *link.Image) error {
 	if err != nil {
 		return err
 	}
-	desc, err := core.DecodeDescriptors(img, &core.UserPlatform{M: m})
+	desc, err := core.DecodeDescriptors(img, core.Platform{M: m})
 	if err != nil {
 		return err
 	}

@@ -20,17 +20,12 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/isa"
 	"repro/internal/link"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
-
-// isaInst aliases the decoded-instruction type for the trace callback.
-type isaInst = isa.Inst
 
 type setFlags []string
 
@@ -68,9 +63,7 @@ var (
 	flightSnap = flag.Bool("flight-snap", false,
 		"with -flight: also write a machine snapshot next to the flight dump when a failure is recorded (<flight>.snap)")
 
-	repeat      = flag.Int("repeat", 1, "call the entry function this many times")
-	superblocks = flag.Bool("superblocks", cpu.SuperblocksDefault(),
-		"use the superblock threaded-dispatch interpreter (cycle counts are identical either way; also MV_SUPERBLOCKS=off)")
+	repeat = flag.Int("repeat", 1, "call the entry function this many times")
 
 	sets setFlags
 )
@@ -82,7 +75,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mvrun [flags] image")
 		os.Exit(2)
 	}
-	cpu.SetSuperblocksDefault(*superblocks)
 	if err := run(flag.Arg(0)); err != nil {
 		fmt.Fprintf(os.Stderr, "mvrun: %v\n", err)
 		os.Exit(1)
@@ -141,7 +133,7 @@ func run(path string) (err error) {
 	if err != nil {
 		return err
 	}
-	rt, err := core.NewRuntime(img, &core.UserPlatform{M: m})
+	rt, err := core.NewRuntime(img, core.Platform{M: m})
 	if err != nil {
 		return err
 	}
@@ -363,20 +355,24 @@ func run(path string) (err error) {
 		fmt.Println("audit: ok")
 	}
 
-	// The per-instruction hook slot is shared: instruction tracing and
-	// the metric sampler both ride it, so compose whatever is enabled.
-	// When neither is, the slot stays nil and the CPU keeps its
-	// unobserved fast path.
-	var hooks []func(pc uint64, in isaInst)
+	// Instruction tracing and the metric sampler observe every retired
+	// instruction, so they ride the CPU's tracer, teed onto whatever
+	// -trace/-flight attached. When neither is enabled the tracer is
+	// left as it was and an unobserved CPU keeps its fast path.
+	hooks := []trace.Tracer{m.CPU.Tracer()}
 	if *itrace {
 		printed := 0
-		hooks = append(hooks, func(pc uint64, in isaInst) {
+		hooks = append(hooks, stepHook(func(pc, _ uint64) {
 			if printed >= *traceLimit {
 				if printed == *traceLimit {
 					fmt.Println("  ... trace limit reached")
 					printed++
 				}
 				return
+			}
+			in, ierr := m.CPU.InstAt(pc)
+			if ierr != nil {
+				return // the CPU faults on it without retiring anything
 			}
 			printed++
 			if name, ok := img.SymbolAt(pc); ok {
@@ -385,21 +381,13 @@ func run(path string) (err error) {
 				}
 			}
 			fmt.Printf("  %#08x: %s\n", pc, in.Format(pc))
-		})
+		}))
 	}
 	if samp != nil {
-		hooks = append(hooks, func(pc uint64, in isaInst) { samp.Tick(m.CPU.Cycles()) })
+		hooks = append(hooks, stepHook(func(_, cycles uint64) { samp.Tick(cycles) }))
 	}
-	switch len(hooks) {
-	case 0:
-	case 1:
-		m.CPU.Trace = hooks[0]
-	default:
-		m.CPU.Trace = func(pc uint64, in isaInst) {
-			for _, h := range hooks {
-				h(pc, in)
-			}
-		}
+	if len(hooks) > 1 {
+		m.CPU.SetTracer(trace.NewTee(hooks...))
 	}
 
 	if *state {
@@ -542,6 +530,15 @@ func run(path string) (err error) {
 	}
 	return nil
 }
+
+// stepHook is a trace.Tracer that observes only retired instructions.
+type stepHook func(pc, cycles uint64)
+
+func (h stepHook) Step(pc, cycles uint64)                            { h(pc, cycles) }
+func (stepHook) Emit(trace.Kind, uint64, uint64, uint64)             {}
+func (stepHook) EmitName(trace.Kind, uint64, uint64, uint64, string) {}
+func (stepHook) Call(pc, target uint64)                              {}
+func (stepHook) Ret(pc, target uint64)                               {}
 
 func writeFile(path string, write func(w io.Writer) error) error {
 	f, err := os.Create(path)

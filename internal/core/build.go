@@ -65,7 +65,7 @@ func BuildSystem(opts GenOptions, machOpts []machine.Option, srcs ...Source) (*S
 	if err != nil {
 		return nil, err
 	}
-	rt, err := NewRuntime(img, &UserPlatform{M: m})
+	rt, err := NewRuntime(img, Platform{M: m})
 	if err != nil {
 		return nil, err
 	}

@@ -465,7 +465,10 @@ func TestWriteWarning(t *testing.T) {
 	}
 }
 
-func TestKernelPlatformPatchesThroughRX(t *testing.T) {
+// TestKernelPolicyPatchesThroughRX: the kernel write policy patches
+// straight through the direct mapping, so a commit leaves the text
+// read-execute and flips no protection on the way.
+func TestKernelPolicyPatchesThroughRX(t *testing.T) {
 	img, _, err := BuildImage(GenOptions{}, Source{Name: "fig2.mvc", Text: figure2Src})
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +477,7 @@ func TestKernelPlatformPatchesThroughRX(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(img, &KernelPlatform{M: m})
+	rt, err := NewRuntime(img, Platform{M: m, Kernel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,8 +487,12 @@ func TestKernelPlatformPatchesThroughRX(t *testing.T) {
 	if err := m.WriteGlobal("B", 4, 1); err != nil {
 		t.Fatal(err)
 	}
+	protects := m.Mem.Stats.ProtectCalls
 	if _, err := rt.Commit(); err != nil {
 		t.Fatalf("kernel-mode commit failed: %v", err)
+	}
+	if n := m.Mem.Stats.ProtectCalls - protects; n != 0 {
+		t.Errorf("kernel-mode commit made %d protection flips, want 0", n)
 	}
 	if _, err := m.CallNamed("foo"); err != nil {
 		t.Fatal(err)
@@ -508,7 +515,7 @@ func TestWXSafePatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(img, &UserPlatform{M: m})
+	rt, err := NewRuntime(img, Platform{M: m})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func corrupt(t *testing.T, tamper func(img *link.Image)) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewRuntime(img, &UserPlatform{M: m})
+	_, err = NewRuntime(img, Platform{M: m})
 	return err
 }
 
@@ -72,7 +72,7 @@ func TestDecodeToleratesMissingSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(img, &UserPlatform{M: m})
+	rt, err := NewRuntime(img, Platform{M: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestDecodeRejectsCorruptCallSiteBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtProbe, err := NewRuntime(img, &UserPlatform{M: m})
+	rtProbe, err := NewRuntime(img, Platform{M: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDecodeRejectsCorruptCallSiteBytes(t *testing.T) {
 	if err := m.Mem.WriteForce(site, []byte{0xEE, 0xEE, 0xEE, 0xEE, 0xEE}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRuntime(img, &UserPlatform{M: m}); err == nil {
+	if _, err := NewRuntime(img, Platform{M: m}); err == nil {
 		t.Error("corrupt call site accepted at startup")
 	}
 }

@@ -87,15 +87,6 @@ func (rt *Runtime) noteUndo(fn func()) {
 	}
 }
 
-// snapshotProt captures the protection of the page holding addr, when
-// the platform can tell.
-func (rt *Runtime) snapshotProt(addr uint64) (mem.Prot, bool) {
-	if pp, ok := rt.plat.(Protter); ok {
-		return pp.ProtAt(addr)
-	}
-	return 0, false
-}
-
 // writeText performs one journaled text write, dispatching on the
 // commit mode: in ModeTextPoke a multi-byte rewrite goes through the
 // breakpoint protocol (pokeWrite, sync.go) so CPUs racing the write
@@ -116,7 +107,7 @@ func (rt *Runtime) writeText(addr uint64, old, data []byte) error {
 // transaction's rollback repairs it.
 func (rt *Runtime) writeTextDirect(addr uint64, old, data []byte) error {
 	e := journalEntry{addr: addr, old: append([]byte(nil), old...)}
-	e.prot, e.hasProt = rt.snapshotProt(addr)
+	e.prot, e.hasProt = rt.plat.M.Mem.ProtOf(addr)
 	if rt.tx != nil {
 		rt.tx.entries = append(rt.tx.entries, e)
 	}
@@ -140,19 +131,16 @@ func (rt *Runtime) writeTextDirect(addr uint64, old, data []byte) error {
 	return err
 }
 
-// backoff charges simulated cycles for one retry round. It only runs
-// after a fault fired, so fault-free executions remain cycle-identical
-// to a build without any of this machinery.
+// backoff charges simulated cycles for one retry round on the patching
+// (primary) CPU. It only runs after a fault fired, so fault-free
+// executions remain cycle-identical to a build without any of this
+// machinery.
 func (rt *Runtime) backoff(attempt int) {
-	ca, ok := rt.plat.(CycleAdvancer)
-	if !ok {
-		return
-	}
 	n := uint64(backoffBase) << (attempt - 1)
 	if n > backoffCap {
 		n = backoffCap
 	}
-	ca.AdvanceCycles(n)
+	rt.plat.M.CPU.AddCycles(n)
 }
 
 // repairEntry best-effort restores one journal entry: journaled bytes
@@ -162,13 +150,11 @@ func (rt *Runtime) backoff(attempt int) {
 // plan runs dry or the bound trips.
 func (rt *Runtime) repairEntry(e journalEntry) error {
 	var errs []error
-	restore := func(addr uint64, buf []byte) error { return rt.plat.Patch(addr, buf) }
-	if r, ok := rt.plat.(Restorer); ok {
-		restore = r.Restore
-	}
 	var err error
 	for try := 0; try < maxRestoreTries; try++ {
-		if err = restore(e.addr, e.old); err == nil {
+		// Force-write regardless of current protections: rollback must
+		// succeed even when the fault left a page in an unexpected state.
+		if err = rt.plat.M.Mem.WriteForce(e.addr, e.old); err == nil {
 			break
 		}
 	}
@@ -176,41 +162,26 @@ func (rt *Runtime) repairEntry(e journalEntry) error {
 		errs = append(errs, fmt.Errorf("core: rollback of %#x: %w", e.addr, err))
 	}
 	if e.hasProt {
-		if pr, ok := rt.plat.(Protector); ok {
-			for try := 0; try < maxRestoreTries; try++ {
-				if err = pr.SetProt(e.addr, uint64(len(e.old)), e.prot); err == nil {
-					break
-				}
+		for try := 0; try < maxRestoreTries; try++ {
+			if err = rt.plat.M.Mem.Protect(e.addr, uint64(len(e.old)), e.prot); err == nil {
+				break
 			}
-			if err != nil {
-				errs = append(errs, fmt.Errorf("core: rollback of %#x protection: %w", e.addr, err))
-			}
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("core: rollback of %#x protection: %w", e.addr, err))
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// verifyFlushes re-broadcasts the icache shootdown for every range the
-// transaction touched until no hardware thread caches stale bytes —
-// the acknowledge loop of a real shootdown protocol, and the defense
-// against injected dropped-flush faults. Without a FlushVerifier
-// platform it is a no-op.
+// verifyFlushes acknowledges the icache shootdown (flushAck) of every
+// range the transaction touched — the acknowledge loop of a real
+// shootdown protocol, and the defense against injected dropped-flush
+// faults.
 func (rt *Runtime) verifyFlushes(entries []journalEntry) {
-	fv, ok := rt.plat.(FlushVerifier)
-	if !ok {
-		return
-	}
 	for _, e := range entries {
-		if e.undo != nil {
-			continue
-		}
-		n := uint64(len(e.old))
-		for try := 0; try < maxFlushVerify && fv.ICacheStale(e.addr, n); try++ {
-			rt.Stats.FlushRetries++
-			if rt.Tracer != nil {
-				rt.Tracer.Emit(trace.KindFlushRetry, e.addr, n, uint64(try+1))
-			}
-			rt.plat.FlushICache(e.addr, n)
+		if e.undo == nil {
+			rt.flushAck(e.addr, uint64(len(e.old)))
 		}
 	}
 }

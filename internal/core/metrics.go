@@ -281,17 +281,11 @@ func (mm *MVMetrics) beginCommit(rt *Runtime) func() {
 	if mm == nil {
 		return nil
 	}
-	var memBefore mem.Stats
-	if ms, ok := rt.plat.(MemStatser); ok {
-		memBefore = ms.MemStats()
-	}
+	memBefore := rt.plat.M.Mem.Stats
 	statBefore := rt.Stats
 	cycBefore := mm.now()
 	return func() {
-		var memDelta mem.Stats
-		if ms, ok := rt.plat.(MemStatser); ok {
-			memDelta = ms.MemStats().Sub(memBefore)
-		}
+		memDelta := rt.plat.M.Mem.Stats.Sub(memBefore)
 		s := rt.Stats
 		sites := uint64(s.SitesPatched - statBefore.SitesPatched +
 			s.SitesInlined - statBefore.SitesInlined +

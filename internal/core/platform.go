@@ -7,93 +7,34 @@ import (
 	"repro/internal/mem"
 )
 
-// Platform abstracts how the runtime library reads and patches memory.
-// The paper ports the library to Linux user space, the Linux kernel
-// and OctopOS by swapping exactly this layer (§5); here the user port
-// goes through mprotect-style permission flips while the kernel port
-// writes through the direct mapping.
-type Platform interface {
-	// Read copies memory into buf.
-	Read(addr uint64, buf []byte) error
-	// Patch writes buf into the text segment, temporarily making it
-	// writable if the port needs to.
-	Patch(addr uint64, buf []byte) error
-	// FlushICache invalidates any cached decode of the range. Skipping
-	// this after a Patch leaves the CPU executing stale bytes.
-	FlushICache(addr, n uint64)
-}
-
-// MemStatser is implemented by platforms that can expose the memory
-// system's operation counters (mem.Stats); StateReport includes them
-// when available.
-type MemStatser interface {
-	MemStats() mem.Stats
-}
-
-// The transactional commit layer discovers extra platform capabilities
-// through the optional interfaces below (the same pattern as
-// MemStatser): a port that implements them gets crash-consistent
-// rollback and shootdown verification; a port that does not still
-// works, minus those guarantees.
-
-// Restorer force-writes journaled bytes back into the text segment
-// during rollback, regardless of current page protections — rollback
-// must succeed even when the fault left a page in an unexpected state.
-type Restorer interface {
-	Restore(addr uint64, buf []byte) error
-}
-
-// Protector sets page protections directly, so rollback can undo a
-// protection flip stranded by a mid-patch fault.
-type Protector interface {
-	SetProt(addr, n uint64, prot mem.Prot) error
-}
-
-// Protter inspects the protection of the page holding addr; the
-// journal snapshots it before each patch, and the auditor checks
-// variant pages stay non-writable.
-type Protter interface {
-	ProtAt(addr uint64) (mem.Prot, bool)
-}
-
-// CycleAdvancer charges simulated cycles for retry backoff. Only
-// consulted when a fault actually fired, so uninjected runs stay
-// cycle-identical.
-type CycleAdvancer interface {
-	AdvanceCycles(n uint64)
-}
-
-// FlushVerifier reports whether any hardware thread still caches
-// pre-patch bytes of a range — the acknowledge step of a shootdown
-// protocol, which catches injected dropped-flush faults.
-type FlushVerifier interface {
-	ICacheStale(addr, n uint64) bool
-}
-
-// UserPlatform patches like a user-space process: mprotect the pages
-// writable (never writable+executable, so it also works under strict
-// W^X), write, and restore the original protection.
-type UserPlatform struct {
+// Platform is how the runtime library reads and patches memory. The
+// paper ports the library to Linux user space, the Linux kernel and
+// OctopOS by swapping exactly this layer (§5); here the ports share
+// one machine and differ only in their write policy, so the layer is
+// one concrete type. Everything that is not policy — stop-machine
+// rendezvous, stack scans, protections, shootdown verification — the
+// runtime asks the machine for directly.
+type Platform struct {
 	M *machine.Machine
-	// Stats counts protection flips and bytes patched.
-	Stats PlatformStats
+	// Kernel selects the kernel port's write policy: patch straight
+	// through the direct mapping, without protection flips. The user
+	// port (false) mprotects the pages writable (never
+	// writable+executable, so it also works under strict W^X), writes
+	// and restores the original protection.
+	Kernel bool
 }
 
-// PlatformStats counts patching work for the overhead experiments.
-type PlatformStats struct {
-	Patches      int
-	BytesPatched int
-	ProtFlips    int
-	ICacheFlush  int
-}
-
-// Read implements Platform.
-func (p *UserPlatform) Read(addr uint64, buf []byte) error {
+// Read copies memory into buf.
+func (p Platform) Read(addr uint64, buf []byte) error {
 	return p.M.Mem.Read(addr, buf)
 }
 
-// Patch implements Platform.
-func (p *UserPlatform) Patch(addr uint64, buf []byte) error {
+// Patch writes buf into the text segment under the port's write
+// policy.
+func (p Platform) Patch(addr uint64, buf []byte) error {
+	if p.Kernel {
+		return p.M.Mem.WriteForce(addr, buf)
+	}
 	if len(buf) == 0 {
 		return nil
 	}
@@ -104,132 +45,16 @@ func (p *UserPlatform) Patch(addr uint64, buf []byte) error {
 	if err := p.M.Mem.Protect(addr, uint64(len(buf)), mem.RW); err != nil {
 		return err
 	}
-	p.Stats.ProtFlips++
 	if err := p.M.Mem.Write(addr, buf); err != nil {
 		return err
 	}
-	if err := p.M.Mem.Protect(addr, uint64(len(buf)), orig); err != nil {
-		return err
-	}
-	p.Stats.ProtFlips++
-	p.Stats.Patches++
-	p.Stats.BytesPatched += len(buf)
-	return nil
+	return p.M.Mem.Protect(addr, uint64(len(buf)), orig)
 }
 
-// FlushICache implements Platform. The flush is broadcast to every
-// hardware thread: on SMP machines a patch must shoot down all icaches,
-// not just the patching CPU's.
-func (p *UserPlatform) FlushICache(addr, n uint64) {
+// FlushICache invalidates any cached decode of the range on every
+// hardware thread: on SMP machines a patch must shoot down all
+// icaches, not just the patching CPU's. Skipping it after a Patch
+// leaves the CPUs executing stale bytes.
+func (p Platform) FlushICache(addr, n uint64) {
 	p.M.FlushICacheAll(addr, n)
-	p.Stats.ICacheFlush++
-}
-
-// MemStats implements MemStatser.
-func (p *UserPlatform) MemStats() mem.Stats { return p.M.Mem.Stats }
-
-// Restore implements Restorer.
-func (p *UserPlatform) Restore(addr uint64, buf []byte) error {
-	return p.M.Mem.WriteForce(addr, buf)
-}
-
-// SetProt implements Protector.
-func (p *UserPlatform) SetProt(addr, n uint64, prot mem.Prot) error {
-	return p.M.Mem.Protect(addr, n, prot)
-}
-
-// ProtAt implements Protter.
-func (p *UserPlatform) ProtAt(addr uint64) (mem.Prot, bool) { return p.M.Mem.ProtOf(addr) }
-
-// AdvanceCycles implements CycleAdvancer: retry backoff burns cycles
-// on the patching (primary) CPU.
-func (p *UserPlatform) AdvanceCycles(n uint64) { p.M.CPU.AddCycles(n) }
-
-// ICacheStale implements FlushVerifier.
-func (p *UserPlatform) ICacheStale(addr, n uint64) bool { return p.M.ICacheStale(addr, n) }
-
-// LiveCodeAddrs implements Activeness: every PC plus the conservative
-// stack return-address scan of each non-halted hardware thread. The
-// bool is false when a truncated stack scan made the list incomplete.
-func (p *UserPlatform) LiveCodeAddrs() ([]uint64, bool) { return p.M.LiveCodeAddrs() }
-
-// OSRCPUs implements FrameAccessor: the paused CPUs whose frames an
-// on-stack replacement may rewrite.
-func (p *UserPlatform) OSRCPUs() []machine.OSRCPU { return p.M.OSRCPUs() }
-
-// StopMachine implements Stopper.
-func (p *UserPlatform) StopMachine(avoid []machine.Range, fn func() error) (uint64, error) {
-	return p.M.StopMachine(avoid, fn)
-}
-
-// NotePokePhase implements PokeAnnouncer.
-func (p *UserPlatform) NotePokePhase(phase int, addr, n uint64) {
-	p.M.NotePokePhase(phase, addr, n)
-}
-
-// KernelPlatform patches like kernel code: straight through the
-// physical mapping, no protection flips, but still an icache flush.
-type KernelPlatform struct {
-	M     *machine.Machine
-	Stats PlatformStats
-}
-
-// Read implements Platform.
-func (p *KernelPlatform) Read(addr uint64, buf []byte) error {
-	return p.M.Mem.Read(addr, buf)
-}
-
-// Patch implements Platform.
-func (p *KernelPlatform) Patch(addr uint64, buf []byte) error {
-	if err := p.M.Mem.WriteForce(addr, buf); err != nil {
-		return err
-	}
-	p.Stats.Patches++
-	p.Stats.BytesPatched += len(buf)
-	return nil
-}
-
-// FlushICache implements Platform; like the user port it broadcasts
-// the shootdown to every hardware thread.
-func (p *KernelPlatform) FlushICache(addr, n uint64) {
-	p.M.FlushICacheAll(addr, n)
-	p.Stats.ICacheFlush++
-}
-
-// MemStats implements MemStatser.
-func (p *KernelPlatform) MemStats() mem.Stats { return p.M.Mem.Stats }
-
-// Restore implements Restorer.
-func (p *KernelPlatform) Restore(addr uint64, buf []byte) error {
-	return p.M.Mem.WriteForce(addr, buf)
-}
-
-// SetProt implements Protector.
-func (p *KernelPlatform) SetProt(addr, n uint64, prot mem.Prot) error {
-	return p.M.Mem.Protect(addr, n, prot)
-}
-
-// ProtAt implements Protter.
-func (p *KernelPlatform) ProtAt(addr uint64) (mem.Prot, bool) { return p.M.Mem.ProtOf(addr) }
-
-// AdvanceCycles implements CycleAdvancer.
-func (p *KernelPlatform) AdvanceCycles(n uint64) { p.M.CPU.AddCycles(n) }
-
-// ICacheStale implements FlushVerifier.
-func (p *KernelPlatform) ICacheStale(addr, n uint64) bool { return p.M.ICacheStale(addr, n) }
-
-// LiveCodeAddrs implements Activeness.
-func (p *KernelPlatform) LiveCodeAddrs() ([]uint64, bool) { return p.M.LiveCodeAddrs() }
-
-// OSRCPUs implements FrameAccessor.
-func (p *KernelPlatform) OSRCPUs() []machine.OSRCPU { return p.M.OSRCPUs() }
-
-// StopMachine implements Stopper.
-func (p *KernelPlatform) StopMachine(avoid []machine.Range, fn func() error) (uint64, error) {
-	return p.M.StopMachine(avoid, fn)
-}
-
-// NotePokePhase implements PokeAnnouncer.
-func (p *KernelPlatform) NotePokePhase(phase int, addr, n uint64) {
-	p.M.NotePokePhase(phase, addr, n)
 }

@@ -93,7 +93,7 @@ func TestRuntimeStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt2, err := NewRuntime(m2.Image, &UserPlatform{M: m2})
+	rt2, err := NewRuntime(m2.Image, Platform{M: m2})
 	if err != nil {
 		t.Fatal(err)
 	}

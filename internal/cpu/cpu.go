@@ -22,8 +22,8 @@
 // A predecoded-instruction cache (decodecache.go) is layered on top of
 // each icache line so the steady-state Step loop dispatches on cached
 // isa.Inst structs instead of re-decoding raw bytes. It is a pure
-// host-side accelerator: simulated cycle counts are bit-identical with
-// it enabled or disabled.
+// host-side accelerator derived only from the line's byte snapshot,
+// so it never changes simulated cycle counts.
 //
 // Cycle counts are deterministic: the same program always reports the
 // same number of cycles.
@@ -171,7 +171,7 @@ type Stats struct {
 	ICacheFills  uint64
 	Interrupts   uint64
 	DecodeHits   uint64 // instructions dispatched from the decode cache
-	DecodeMisses uint64 // instructions decoded from raw bytes (cache enabled)
+	DecodeMisses uint64 // instructions fetched and decoded from the icache bytes
 	Traps        uint64 // BRK breakpoint traps taken (text-poke windows)
 
 	BlockBuilds      uint64 // superblocks chained from icache-line snapshots
@@ -241,7 +241,6 @@ type CPU struct {
 	rasN int
 
 	icache      map[uint64]*icLine // page number -> cached line
-	decodeCache bool               // serve Step from predecoded instructions
 	superblocks bool               // chain straight-line runs for Run's fast path
 	lastPN      uint64             // page number memo for the decode-cache fast path
 	lastLine    *icLine            // line memo; nil = invalid, cleared by FlushICache
@@ -264,12 +263,6 @@ type CPU struct {
 	// without ever splitting a block (which would perturb BlockHits and
 	// break checkpoint determinism). Zero outside RunUntil.
 	cycleStop uint64
-
-	// Trace, when non-nil, observes every executed instruction after
-	// decode and before execution — the substrate for debugger-style
-	// tooling (cf. the paper's §7.2 discussion of stepping through
-	// patched code).
-	Trace func(pc uint64, in isa.Inst)
 
 	// OutB receives device writes; nil discards them.
 	OutB func(port uint8, b byte)
@@ -329,7 +322,6 @@ func New(m *mem.Memory, cfg Config) *CPU {
 		btb:         make([]btbEntry, cfg.BTBSize),
 		ras:         make([]uint64, cfg.RASDepth),
 		icache:      make(map[uint64]*icLine),
-		decodeCache: decodeCacheDefault,
 		superblocks: superblocksDefault,
 		tracer:      cfg.Tracer,
 	}
@@ -552,56 +544,71 @@ func (c *CPU) Step() error {
 			return &execError{pc, err}
 		}
 	}
-	if c.decodeCache {
-		if in := c.cachedInst(pc); in != nil {
-			c.stats.DecodeHits++
-			if c.Trace != nil {
-				c.Trace(pc, *in)
-			}
-			if c.tracer != nil {
-				c.tracer.Step(pc, c.cycles)
-			}
-			return c.exec(*in)
+	if in := c.cachedInst(pc); in != nil {
+		c.stats.DecodeHits++
+		if c.tracer != nil {
+			c.tracer.Step(pc, c.cycles)
 		}
+		return c.exec(*in)
 	}
 	return c.stepDecode(pc)
 }
 
 // stepDecode is the decode-cache-miss path: fetch through the
-// instruction cache, decode, optionally cache, execute.
+// instruction cache, decode, cache, execute.
 func (c *CPU) stepDecode(pc uint64) error {
-	var window [maxInstLen]byte
-	n, err := c.icFetch(pc, window[:])
+	in, err := c.fetchDecode(pc)
 	if err != nil {
-		return &execError{pc, err}
+		return err
 	}
-
-	var in isa.Inst
-	if n >= 2 && isa.Op(window[0]) == isa.NOPN {
-		// NOPN: only the length byte matters; the padding need not be
-		// fetched (it may even cross into the next page).
-		length := int(window[1])
-		if length < 2 {
-			return &execError{pc, fmt.Errorf("NOPN length %d", length)}
-		}
-		in = isa.Inst{Op: isa.NOPN, Len: length}
-	} else {
-		in, err = isa.Decode(window[:n])
-		if err != nil {
-			return &execError{pc, err}
-		}
-	}
-	if c.decodeCache {
-		c.stats.DecodeMisses++
-		c.cacheInst(pc, in)
-	}
-	if c.Trace != nil {
-		c.Trace(pc, in)
-	}
+	c.stats.DecodeMisses++
+	c.cacheInst(pc, in)
 	if c.tracer != nil {
 		c.tracer.Step(pc, c.cycles)
 	}
 	return c.exec(in)
+}
+
+// fetchDecode fetches the instruction at pc through the instruction
+// cache and decodes it.
+func (c *CPU) fetchDecode(pc uint64) (isa.Inst, error) {
+	var window [maxInstLen]byte
+	n, err := c.icFetch(pc, window[:])
+	if err != nil {
+		return isa.Inst{}, &execError{pc, err}
+	}
+	in, err := decodeWindow(window[:n])
+	if err != nil {
+		return isa.Inst{}, &execError{pc, err}
+	}
+	return in, nil
+}
+
+// decodeWindow decodes the instruction at the start of w. NOPN is
+// special: only its length byte matters, so the padding need not lie
+// in w (it may even cross into the next page).
+func decodeWindow(w []byte) (isa.Inst, error) {
+	if len(w) >= 2 && isa.Op(w[0]) == isa.NOPN {
+		length := int(w[1])
+		if length < 2 {
+			return isa.Inst{}, fmt.Errorf("NOPN length %d", length)
+		}
+		return isa.Inst{Op: isa.NOPN, Len: length}, nil
+	}
+	return isa.Decode(w)
+}
+
+// InstAt returns the instruction this CPU executes at pc: the cached
+// decode, or the decode of its icache snapshot — so patched bytes show
+// only after a flush, exactly as Step runs them. A tracer may call it
+// from its Step hook to disassemble the instruction being retired;
+// Step has already fetched pc's lines then, so the call changes no
+// statistics.
+func (c *CPU) InstAt(pc uint64) (isa.Inst, error) {
+	if in := c.cachedInst(pc); in != nil {
+		return *in, nil
+	}
+	return c.fetchDecode(pc)
 }
 
 func (c *CPU) exec(in isa.Inst) error {
@@ -1026,13 +1033,13 @@ func (c *CPU) rasPop(actual uint64) bool {
 }
 
 // stepHooked reports whether Run and RunUntil must dispatch every
-// instruction through Step: a Trace callback or tracer observes each
-// one, or an armed fetch fault must land on its exact instruction.
+// instruction through Step: a tracer observes each one, or an armed
+// fetch fault must land on its exact instruction.
 // Hooks are bound before a run and a fetch fault can only be disarmed
 // by firing, which ends the run with its error, so the answer holds
 // for a whole Run.
 func (c *CPU) stepHooked() bool {
-	return c.Trace != nil || c.tracer != nil ||
+	return c.tracer != nil ||
 		(c.inject != nil && c.inject.FetchFaultArmed(c.id))
 }
 

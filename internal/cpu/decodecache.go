@@ -26,47 +26,18 @@
 //   - Each CPU owns its icache, so each SMP hardware thread keeps a
 //     private decode cache, mirroring real per-core frontends.
 //
-// The cache is a pure host-side accelerator: simulated cycle counts,
-// architectural state, and all non-Decode* statistics are bit-identical
-// with the cache enabled or disabled. internal/difftest asserts this
-// invariance on the E1 and E4 workloads.
+// The cache is a pure host-side accelerator: every entry is the decode
+// of its line's own byte snapshot, so simulated cycle counts and
+// architectural state are exactly those of decoding each instruction
+// afresh. checkLineCaches (decodecache_test.go) holds every resident
+// line to that reference.
 
 package cpu
 
 import (
-	"os"
-
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
-
-// decodeCacheDefault is the construction-time default for new CPUs,
-// overridable globally with SetDecodeCacheDefault (mvbench's
-// -decode-cache flag) or the environment knob MV_DECODE_CACHE=off
-// (also "0" / "false").
-var decodeCacheDefault = func() bool {
-	switch os.Getenv("MV_DECODE_CACHE") {
-	case "0", "off", "false":
-		return false
-	}
-	return true
-}()
-
-// SetDecodeCacheDefault sets whether newly constructed CPUs use the
-// predecoded-instruction cache. Existing CPUs are unaffected.
-func SetDecodeCacheDefault(on bool) { decodeCacheDefault = on }
-
-// DecodeCacheDefault reports the construction-time default.
-func DecodeCacheDefault() bool { return decodeCacheDefault }
-
-// SetDecodeCache enables or disables this CPU's predecoded-instruction
-// cache. Toggling is safe at any point: entries are always consistent
-// with their line's byte snapshot, so re-enabling reuses them.
-func (c *CPU) SetDecodeCache(on bool) { c.decodeCache = on }
-
-// DecodeCacheEnabled reports whether this CPU serves Step from the
-// decode cache.
-func (c *CPU) DecodeCacheEnabled() bool { return c.decodeCache }
 
 // cachedInst returns the predecoded instruction at pc, or nil. The
 // pointer aims into the line's entries and is valid until the next

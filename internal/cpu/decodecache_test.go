@@ -21,12 +21,63 @@ func hotLoop(n int32) []byte {
 	return a.Bytes()
 }
 
+// checkLineCaches is the reference for the decode cache: every entry
+// derived on a resident icache line must be exactly what a fresh
+// isa.Decode of the line's own byte snapshot yields. Decoded entries
+// must lie at least maxInstLen bytes before the page end (their fetch
+// window may not reach into the next line), and every instruction of a
+// real superblock must equal the decode at its offset.
+func checkLineCaches(t *testing.T, c *CPU) {
+	t.Helper()
+	decodeAt := func(line *icLine, off uint64) isa.Inst {
+		w := line.bytes[off:]
+		if len(w) >= 2 && isa.Op(w[0]) == isa.NOPN && int(w[1]) > len(w) {
+			// NOPN padding may run past the page; only its length byte
+			// is architectural.
+			return isa.Inst{Op: isa.NOPN, Len: int(w[1])}
+		}
+		in, err := isa.Decode(w)
+		if err != nil {
+			t.Fatalf("cached offset %#x does not decode: %v", off, err)
+		}
+		return in
+	}
+	for pn, line := range c.icache {
+		base := pn << mem.PageShift
+		for off, i := range &line.idx {
+			if i == 0 {
+				continue
+			}
+			e := &line.ents[i-1]
+			if e.in.Len != 0 {
+				if uint64(off)+maxInstLen > mem.PageSize {
+					t.Errorf("decoded entry at %#x lies within %d bytes of the page end", base+uint64(off), maxInstLen)
+				}
+				if want := decodeAt(line, uint64(off)); e.in != want {
+					t.Errorf("decoded entry at %#x = %+v, fresh decode %+v", base+uint64(off), e.in, want)
+				}
+			}
+			if e.sb == nil || e.sb == sbReject {
+				continue
+			}
+			pc := base + uint64(off)
+			for _, se := range e.sb.entries {
+				if se.pc != pc || se.pc>>mem.PageShift != pn {
+					t.Fatalf("superblock at %#x: entry pc %#x, want %#x on the same page", base+uint64(off), se.pc, pc)
+				}
+				if want := decodeAt(line, se.pc-base); se.in != want || se.next != pc+uint64(want.Len) {
+					t.Errorf("superblock entry at %#x = %+v (next %#x), fresh decode %+v", pc, se.in, se.next, want)
+				}
+				pc = se.next
+			}
+		}
+	}
+}
+
 func TestDecodeCacheHitsOnHotLoop(t *testing.T) {
 	c := newVM(t, hotLoop(1000))
-	if !c.DecodeCacheEnabled() {
-		t.Fatal("decode cache not enabled by default")
-	}
 	run(t, c)
+	checkLineCaches(t, c)
 	st := c.Stats()
 	if st.DecodeHits+st.DecodeMisses != st.Instructions {
 		t.Errorf("hits %d + misses %d != instructions %d",
@@ -43,19 +94,12 @@ func TestDecodeCacheHitsOnHotLoop(t *testing.T) {
 	}
 }
 
-func TestDecodeCacheDisabled(t *testing.T) {
-	c := newVM(t, hotLoop(100))
-	c.SetDecodeCache(false)
-	run(t, c)
-	st := c.Stats()
-	if st.DecodeHits != 0 || st.DecodeMisses != 0 {
-		t.Errorf("disabled cache recorded hits %d / misses %d", st.DecodeHits, st.DecodeMisses)
-	}
-}
-
 // TestDecodeCacheCycleInvariance is the load-bearing invariant: the
 // decode cache is a host-side accelerator only, so simulated cycles and
-// every architectural statistic must be bit-identical with it on/off.
+// every architectural statistic must be bit-identical to a run that
+// decodes every instruction afresh. The reference run drops every
+// line's derived entries before each instruction, leaving the byte
+// snapshots (and so the icache statistics) untouched.
 func TestDecodeCacheCycleInvariance(t *testing.T) {
 	program := func() []byte {
 		var a isa.Asm
@@ -73,21 +117,33 @@ func TestDecodeCacheCycleInvariance(t *testing.T) {
 		a.Hlt()
 		return a.Bytes()
 	}
-	exec := func(cache bool) (uint64, Stats) {
+	exec := func(fresh bool) (uint64, Stats) {
 		c := newVM(t, program())
-		c.SetDecodeCache(cache)
-		run(t, c)
+		for !c.Halted() {
+			if fresh {
+				for _, line := range c.icache {
+					line.ents, line.idx, line.nsb = nil, [mem.PageSize]uint16{}, 0
+				}
+			}
+			if err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkLineCaches(t, c)
 		st := c.Stats()
+		if !fresh && st.DecodeMisses > 12 {
+			t.Errorf("cached run missed %d times, want one per distinct pc", st.DecodeMisses)
+		}
 		st.DecodeHits, st.DecodeMisses = 0, 0 // the only permitted difference
 		return c.Cycles(), st
 	}
-	onCycles, onStats := exec(true)
-	offCycles, offStats := exec(false)
-	if onCycles != offCycles {
-		t.Errorf("cycles differ: cache on %d, off %d", onCycles, offCycles)
+	cachedCycles, cachedStats := exec(false)
+	freshCycles, freshStats := exec(true)
+	if cachedCycles != freshCycles {
+		t.Errorf("cycles differ: cached %d, fresh decodes %d", cachedCycles, freshCycles)
 	}
-	if onStats != offStats {
-		t.Errorf("stats differ:\ncache on:  %+v\ncache off: %+v", onStats, offStats)
+	if cachedStats != freshStats {
+		t.Errorf("stats differ:\ncached:        %+v\nfresh decodes: %+v", cachedStats, freshStats)
 	}
 }
 
@@ -121,6 +177,8 @@ func TestStaleDecodedInstructionUntilFlush(t *testing.T) {
 	if got := c.Stats().DecodeHits - hits; got == 0 {
 		t.Error("post-patch run bypassed the decode cache")
 	}
+	// The stale entries still match the line's (stale) byte snapshot.
+	checkLineCaches(t, c)
 
 	c.FlushICache(textBase, uint64(b.Len()))
 	c.SetPC(textBase)
@@ -128,60 +186,55 @@ func TestStaleDecodedInstructionUntilFlush(t *testing.T) {
 	if c.Reg(0) != 2 {
 		t.Errorf("r0 = %d after flush, want 2", c.Reg(0))
 	}
+	checkLineCaches(t, c)
 }
 
 // TestStraddlingWindowNotCached provokes the case that forbids caching
 // near page ends: an instruction whose fetch window straddles a page
 // boundary takes bytes from two icache lines with independent
 // lifetimes. Flushing only the second page must be visible on the next
-// execution even though the first page stays cached, with or without
-// the decode cache.
+// execution even though the first page stays cached.
 func TestStraddlingWindowNotCached(t *testing.T) {
-	build := func(cache bool) (*CPU, uint64) {
-		m := mem.New()
-		if err := m.Map(textBase, 2*mem.PageSize, mem.RWX); err != nil {
-			t.Fatal(err)
-		}
-		start := textBase + mem.PageSize - 5 // MOVI: 5 bytes page 0, 5 bytes page 1
-		var a isa.Asm
-		a.Movi(3, 0x1111111111111111)
-		a.Hlt()
-		if err := m.Write(start, a.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		c := New(m, DefaultConfig())
-		c.SetDecodeCache(cache)
-		c.SetPC(start)
-		return c, start
+	m := mem.New()
+	if err := m.Map(textBase, 2*mem.PageSize, mem.RWX); err != nil {
+		t.Fatal(err)
 	}
-	for _, cache := range []bool{true, false} {
-		c, start := build(cache)
-		if _, err := c.Run(10); err != nil {
-			t.Fatal(err)
-		}
-		if c.Reg(3) != 0x1111111111111111 {
-			t.Fatalf("cache=%v: r3 = %#x", cache, c.Reg(3))
-		}
-		// Patch the five immediate bytes that live in page 1 and flush
-		// only page 1: the re-executed MOVI must mix the stale page-0
-		// bytes with the fresh page-1 bytes.
-		patch := []byte{0x22, 0x22, 0x22, 0x22, 0x22}
-		if err := c.Mem.Write(textBase+mem.PageSize, patch); err != nil {
-			t.Fatal(err)
-		}
-		c.FlushICache(textBase+mem.PageSize, uint64(len(patch)))
-		c.SetPC(start)
-		if _, err := c.Run(10); err != nil {
-			t.Fatal(err)
-		}
-		const want = 0x2222222222111111 // low 3 bytes stale, high 5 fresh
-		if c.Reg(3) != want {
-			t.Errorf("cache=%v: r3 = %#x, want %#x (page-1 flush ignored)", cache, c.Reg(3), want)
-		}
-		if cache && c.Stats().DecodeHits != 0 {
-			t.Errorf("straddling instruction served from decode cache (%d hits)", c.Stats().DecodeHits)
-		}
+	start := textBase + mem.PageSize - 5 // MOVI: 5 bytes page 0, 5 bytes page 1
+	var a isa.Asm
+	a.Movi(3, 0x1111111111111111)
+	a.Hlt()
+	if err := m.Write(start, a.Bytes()); err != nil {
+		t.Fatal(err)
 	}
+	c := New(m, DefaultConfig())
+	c.SetPC(start)
+	if _, err := c.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if c.Reg(3) != 0x1111111111111111 {
+		t.Fatalf("r3 = %#x", c.Reg(3))
+	}
+	checkLineCaches(t, c)
+	// Patch the five immediate bytes that live in page 1 and flush
+	// only page 1: the re-executed MOVI must mix the stale page-0
+	// bytes with the fresh page-1 bytes.
+	patch := []byte{0x22, 0x22, 0x22, 0x22, 0x22}
+	if err := c.Mem.Write(textBase+mem.PageSize, patch); err != nil {
+		t.Fatal(err)
+	}
+	c.FlushICache(textBase+mem.PageSize, uint64(len(patch)))
+	c.SetPC(start)
+	if _, err := c.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x2222222222111111 // low 3 bytes stale, high 5 fresh
+	if c.Reg(3) != want {
+		t.Errorf("r3 = %#x, want %#x (page-1 flush ignored)", c.Reg(3), want)
+	}
+	if c.Stats().DecodeHits != 0 {
+		t.Errorf("straddling instruction served from decode cache (%d hits)", c.Stats().DecodeHits)
+	}
+	checkLineCaches(t, c)
 }
 
 // TestStraddleWithOnlyFirstPageCached executes a straddling instruction
@@ -226,17 +279,5 @@ func TestStraddleWithOnlyFirstPageCached(t *testing.T) {
 	if c.Stats().ICacheFills != 2 {
 		t.Errorf("fills = %d, want 2 (page 1 filled on demand)", c.Stats().ICacheFills)
 	}
-}
-
-func TestSetDecodeCacheDefault(t *testing.T) {
-	orig := DecodeCacheDefault()
-	defer SetDecodeCacheDefault(orig)
-	SetDecodeCacheDefault(false)
-	if c := New(mem.New(), DefaultConfig()); c.DecodeCacheEnabled() {
-		t.Error("new CPU ignores disabled default")
-	}
-	SetDecodeCacheDefault(true)
-	if c := New(mem.New(), DefaultConfig()); !c.DecodeCacheEnabled() {
-		t.Error("new CPU ignores enabled default")
-	}
+	checkLineCaches(t, c)
 }

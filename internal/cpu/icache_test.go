@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 func TestICacheFillStats(t *testing.T) {
@@ -186,6 +187,15 @@ func TestInterruptPerturbation(t *testing.T) {
 	}
 }
 
+// callRecorder is a trace.Tracer that keeps only call-edge targets.
+type callRecorder struct{ targets []uint64 }
+
+func (r *callRecorder) Emit(trace.Kind, uint64, uint64, uint64)             {}
+func (r *callRecorder) EmitName(trace.Kind, uint64, uint64, uint64, string) {}
+func (r *callRecorder) Step(pc, cycles uint64)                              {}
+func (r *callRecorder) Call(pc, target uint64)                              { r.targets = append(r.targets, target) }
+func (r *callRecorder) Ret(pc, target uint64)                               {}
+
 func TestTraceHookObservesPatchedCode(t *testing.T) {
 	var a isa.Asm
 	callAt := a.Len()
@@ -202,15 +212,11 @@ func TestTraceHookObservesPatchedCode(t *testing.T) {
 	copy(a.Bytes()[callAt:], p[:])
 
 	c := newVM(t, a.Bytes())
-	var targets []uint64
-	c.Trace = func(pc uint64, in isa.Inst) {
-		if in.Op == isa.CALL {
-			targets = append(targets, pc+uint64(in.Len)+uint64(in.Imm))
-		}
-	}
+	rec := &callRecorder{}
+	c.SetTracer(rec)
 	run(t, c)
-	if len(targets) != 1 || targets[0] != textBase+uint64(f1) {
-		t.Fatalf("targets = %#x", targets)
+	if len(rec.targets) != 1 || rec.targets[0] != textBase+uint64(f1) {
+		t.Fatalf("targets = %#x", rec.targets)
 	}
 	// Patch the call site to f2 (with flush) and re-run: the trace
 	// must show the new target — unlike GDB on the real system, which
@@ -223,8 +229,8 @@ func TestTraceHookObservesPatchedCode(t *testing.T) {
 	c.FlushICache(textBase+uint64(callAt), 5)
 	c.SetPC(textBase)
 	run(t, c)
-	if len(targets) != 2 || targets[1] != textBase+uint64(f2) {
-		t.Fatalf("targets after patch = %#x", targets)
+	if len(rec.targets) != 2 || rec.targets[1] != textBase+uint64(f2) {
+		t.Fatalf("targets after patch = %#x", rec.targets)
 	}
 	if c.Reg(0) != 2 {
 		t.Errorf("r0 = %d, want 2", c.Reg(0))

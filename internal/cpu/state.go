@@ -72,7 +72,6 @@ type State struct {
 	RAS  []uint64
 	RASN int
 
-	DecodeCache bool
 	Superblocks bool
 
 	Mode       uint8
@@ -101,7 +100,6 @@ func (c *CPU) ExportState() State {
 		CmpB:        c.cmpB,
 		RAS:         append([]uint64(nil), c.ras...),
 		RASN:        c.rasN,
-		DecodeCache: c.decodeCache,
 		Superblocks: c.superblocks,
 		Mode:        uint8(c.mode),
 		IntrOn:      c.intrOn,
@@ -146,22 +144,15 @@ func (c *CPU) ExportState() State {
 }
 
 // decodeLineInst decodes the instruction at in-page offset off from a
-// line's byte snapshot, mirroring stepDecode's NOPN handling. It is
-// the deterministic derivation ImportState replays to rebuild decode
-// cache entries.
+// line's byte snapshot, exactly as stepDecode does. It is the
+// deterministic derivation ImportState replays to rebuild decode cache
+// entries.
 func decodeLineInst(line *icLine, off int) (isa.Inst, error) {
 	w := line.bytes[off:]
 	if len(w) > maxInstLen {
 		w = w[:maxInstLen]
 	}
-	if len(w) >= 2 && isa.Op(w[0]) == isa.NOPN {
-		length := int(w[1])
-		if length < 2 {
-			return isa.Inst{}, fmt.Errorf("cpu: NOPN length %d at snapshot offset %#x", length, off)
-		}
-		return isa.Inst{Op: isa.NOPN, Len: length}, nil
-	}
-	return isa.Decode(w)
+	return decodeWindow(w)
 }
 
 // ImportState restores a previously exported state onto this CPU. The
@@ -215,7 +206,6 @@ func (c *CPU) ImportState(s State) error {
 	}
 	copy(c.ras, s.RAS)
 	c.rasN = s.RASN
-	c.decodeCache = s.DecodeCache
 	c.superblocks = s.Superblocks
 	c.mode = Mode(s.Mode)
 	c.intrOn = s.IntrOn

@@ -18,17 +18,17 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 		"regs": true, "pc": true, "cycles": true, "halted": true,
 		"cmpA": true, "cmpB": true,
 		"btb": true, "ras": true, "rasN": true,
-		"decodeCache": true, "superblocks": true,
-		"mode": true, "intrOn": true,
+		"superblocks": true,
+		"mode":        true, "intrOn": true,
 		"intrPeriod": true, "intrCost": true, "nextIntr": true,
 		"icache": true, "stats": true,
 	}
 	hostWiring := map[string]bool{
-		"Mem":        true,                // the address space is serialized by mem.ExportPages
-		"cfg":        true,                // cost model: the constructing harness's contract
-		"hypervisor": true,                // host callback
-		"tracer":     true, "Trace": true, // observability hooks
-		"inject": true, "id": true, // fault-injection wiring
+		"Mem":        true,             // the address space is serialized by mem.ExportPages
+		"cfg":        true,             // cost model: the constructing harness's contract
+		"hypervisor": true,             // host callback
+		"tracer":     true,             // observability hook
+		"inject":     true, "id": true, // fault-injection wiring
 		"OutB": true, "InB": true, // device callbacks
 		"lastPN": true, "lastLine": true, // decode-cache memo, rebuilt lazily
 		"cycleStop": true, // transient RunUntil pause mark, zero at capture

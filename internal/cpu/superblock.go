@@ -46,7 +46,7 @@
 // predictor updates, operation order on fault paths), and the dispatch
 // loop runs the same per-instruction epilogue — cycle charge, pc
 // advance, interrupt-perturbation check. Blocks run only from the
-// fast path, which Run selects when no Trace callback or tracer is
+// fast path, which Run selects when no tracer is
 // attached and no fetch fault is armed for this thread (stepHooked),
 // so the observability hooks and fetch faults always see true
 // single-instruction execution. A fault injector whose plan arms only
@@ -60,7 +60,6 @@ package cpu
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -73,15 +72,8 @@ const maxBlockInsts = 64
 
 // superblocksDefault is the construction-time default for new CPUs,
 // overridable globally with SetSuperblocksDefault (mvbench's
-// -superblocks flag) or the environment knob MV_SUPERBLOCKS=off
-// (also "0" / "false").
-var superblocksDefault = func() bool {
-	switch os.Getenv("MV_SUPERBLOCKS") {
-	case "0", "off", "false":
-		return false
-	}
-	return true
-}()
+// -superblocks flag, which the superblock on/off smoke gate drives).
+var superblocksDefault = true
 
 // SetSuperblocksDefault sets whether newly constructed CPUs use the
 // superblock interpreter. Existing CPUs are unaffected.
@@ -169,23 +161,12 @@ func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
 		if len(w) > maxInstLen {
 			w = w[:maxInstLen]
 		}
-		var in isa.Inst
-		if isa.Op(w[0]) == isa.NOPN {
-			// Like stepDecode: only the length byte matters; the padding
-			// need not lie in this line (it may cross into the next page).
-			if len(w) < 2 || int(w[1]) < 2 {
-				break
-			}
-			in = isa.Inst{Op: isa.NOPN, Len: int(w[1])}
-		} else {
-			var err error
-			in, err = isa.Decode(w)
-			if err != nil {
-				// Undecodable from this line alone — possibly a valid
-				// instruction straddling into the next line, whose
-				// lifetime is independent. The slow path handles it.
-				break
-			}
+		in, err := decodeWindow(w)
+		if err != nil {
+			// Undecodable from this line alone — possibly a valid
+			// instruction straddling into the next line, whose
+			// lifetime is independent. The slow path handles it.
+			break
 		}
 		fn := sbOps[in.Op]
 		if fn == nil {
@@ -211,12 +192,11 @@ func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
 // dispatch. It returns the number of instructions that fully retired.
 // The per-instruction epilogue is exec()'s: charge the cost, advance
 // the pc, service a due perturbation interrupt. Stats that exec()
-// counts unconditionally per dispatched instruction (Instructions,
-// and DecodeHits when the decode cache is on — block entries are
-// predecoded, so dispatching one is a decode-cache hit) are
-// accumulated locally and flushed on every exit path, including the
-// not-retired dispatch of a faulting instruction, mirroring exec()
-// counting Instructions before the opcode runs.
+// counts unconditionally per dispatched instruction (Instructions, and
+// DecodeHits — block entries are predecoded, so dispatching one is a
+// decode-cache hit) are accumulated locally and flushed on every exit
+// path, including the not-retired dispatch of a faulting instruction,
+// mirroring exec() counting Instructions before the opcode runs.
 func (c *CPU) execBlock(b *superblock, budget uint64) (uint64, error) {
 	entries := b.entries
 	if budget < uint64(len(entries)) {
@@ -230,9 +210,7 @@ func (c *CPU) execBlock(b *superblock, budget uint64) (uint64, error) {
 			dispatched := done + 1
 			c.stats.Instructions += dispatched
 			c.stats.BlockInsts += dispatched
-			if c.decodeCache {
-				c.stats.DecodeHits += dispatched
-			}
+			c.stats.DecodeHits += dispatched
 			return done, &execError{e.pc, err}
 		}
 		done++
@@ -248,9 +226,7 @@ func (c *CPU) execBlock(b *superblock, budget uint64) (uint64, error) {
 	}
 	c.stats.Instructions += done
 	c.stats.BlockInsts += done
-	if c.decodeCache {
-		c.stats.DecodeHits += done
-	}
+	c.stats.DecodeHits += done
 	c.stats.BlockHits++
 	return done, nil
 }
@@ -298,14 +274,12 @@ func (c *CPU) stepFastN(budget uint64) (uint64, error) {
 	// Single-instruction fall-through: a faulting instruction did not
 	// retire, so it must not count against the caller's step budget —
 	// the same contract as Run's Step loop.
-	if c.decodeCache {
-		if in := c.cachedInst(pc); in != nil {
-			c.stats.DecodeHits++
-			if err := c.exec(*in); err != nil {
-				return 0, err
-			}
-			return 1, nil
+	if in := c.cachedInst(pc); in != nil {
+		c.stats.DecodeHits++
+		if err := c.exec(*in); err != nil {
+			return 0, err
 		}
+		return 1, nil
 	}
 	if err := c.stepDecode(pc); err != nil {
 		return 0, err

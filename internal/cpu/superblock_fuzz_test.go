@@ -17,7 +17,9 @@ import (
 // architectural stats. The corpus seeds the structured shapes the
 // chainer special-cases (hot loops, NOPN padding, straddling
 // instructions, calls, traps, privileged ops); the fuzzer mutates from
-// there into arbitrary garbage, which must still agree byte for byte.
+// there into arbitrary garbage, which must still agree byte for byte,
+// and leave every derived line cache equal to a fresh decode
+// (checkLineCaches).
 func FuzzBlockVsStep(f *testing.F) {
 	f.Add(hotLoopProgram(20))
 	{
@@ -161,5 +163,7 @@ func FuzzBlockVsStep(f *testing.F) {
 		if da != db {
 			t.Fatal("data page contents diverge")
 		}
+		checkLineCaches(t, blocks)
+		checkLineCaches(t, ref)
 	})
 }

@@ -162,7 +162,7 @@ func (s *Session) freshSystem() error {
 	if err != nil {
 		return err
 	}
-	rt, err := core.NewRuntime(s.img, &core.UserPlatform{M: m})
+	rt, err := core.NewRuntime(s.img, core.Platform{M: m})
 	if err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func snapSystem(t *testing.T, img *link.Image) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := core.NewRuntime(img, &core.UserPlatform{M: m})
+	rt, err := core.NewRuntime(img, core.Platform{M: m})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestCheckpointBacksRepeatedRestores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := core.NewRuntime(mb.fl.img, &core.UserPlatform{M: m})
+		rt, err := core.NewRuntime(mb.fl.img, core.Platform{M: m})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,7 +112,7 @@ func (mb *member) incarnate() error {
 	if err != nil {
 		return fmt.Errorf("fleet: machine %d: %w", mb.id, err)
 	}
-	rt, err := core.NewRuntime(mb.fl.img, &core.UserPlatform{M: m})
+	rt, err := core.NewRuntime(mb.fl.img, core.Platform{M: m})
 	if err != nil {
 		return fmt.Errorf("fleet: machine %d: %w", mb.id, err)
 	}

@@ -141,7 +141,7 @@ func BuildAlt(k AltKernel, hasFeature bool) (*AltSystem, error) {
 		}
 		if !hasFeature {
 			// Boot-time NOP patching, alternative() style.
-			plat := &core.KernelPlatform{M: sys.Machine}
+			plat := core.Platform{M: sys.Machine, Kernel: true}
 			for _, site := range a.Sites {
 				if err := plat.Patch(site, isa.EncodeNop(isa.CallSiteLen)); err != nil {
 					return nil, err

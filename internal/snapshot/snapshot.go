@@ -249,7 +249,7 @@ func putCPU(w *writer, s *cpu.State) {
 		w.u64(v)
 	}
 	w.u64(uint64(s.RASN))
-	putBool(w, s.DecodeCache)
+	w.u8(1) // reserved: the retired decode-cache flag, always on
 	putBool(w, s.Superblocks)
 	w.u8(s.Mode)
 	putBool(w, s.IntrOn)
@@ -291,7 +291,12 @@ func getCPU(r *reader, s *cpu.State) {
 		s.RAS = append(s.RAS, r.u64())
 	}
 	s.RASN = int(r.u64())
-	s.DecodeCache = getBool(r)
+	// Reserved: the retired decode-cache flag. Its value carries no
+	// state, but only the byte Encode writes is accepted, so every
+	// accepted encoding stays canonical.
+	if v := r.u8(); v != 1 && r.err == nil {
+		r.fail("reserved byte at offset %d is %d, want 1", r.off-1, v)
+	}
 	s.Superblocks = getBool(r)
 	s.Mode = r.u8()
 	s.IntrOn = getBool(r)

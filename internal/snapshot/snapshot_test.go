@@ -55,7 +55,7 @@ func buildPair(t *testing.T) (*sys, *sys) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := core.NewRuntime(img, &core.UserPlatform{M: m})
+		rt, err := core.NewRuntime(img, core.Platform{M: m})
 		if err != nil {
 			t.Fatal(err)
 		}
