@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -11,12 +12,13 @@ import (
 // This file makes commits and reverts transactional. Every text write
 // the runtime performs inside one public operation (Commit, Revert,
 // CommitFunc, ...) is journaled first — old bytes and old page
-// protection — and every logical state change registers an undo
-// closure. If any step fails mid-operation, the journal is replayed
-// newest-first: the text image returns byte-identical to its
-// pre-operation state, stranded protection flips are undone, touched
-// icache ranges are re-flushed, and the caller gets a clean
-// ErrCommitAborted wrapping the cause. Transient faults (a lost
+// protection — and every logical state change is journaled too: a
+// call site's state as a typed record, per-function and per-pointer
+// state as an undo closure. If any step fails mid-operation, the
+// journal is replayed newest-first: the text image returns
+// byte-identical to its pre-operation state, stranded protection flips
+// are undone, touched icache ranges are re-flushed, and the caller
+// gets a clean ErrCommitAborted wrapping the cause. Transient faults (a lost
 // protection flip, an interrupted write) are retried with a
 // cycle-charged backoff before the operation gives up.
 //
@@ -52,15 +54,32 @@ func faultTransient(err error) bool {
 	return errors.As(err, &t) && t.FaultTransient()
 }
 
-// journalEntry is one undoable step: either a text write (old holds
-// the pre-write bytes) or a logical state change (undo != nil).
+// journalEntry is one undoable step, of one of three kinds:
+//
+//   - a text write (site and undo nil): old[:n] holds the pre-write
+//     bytes of [addr, addr+n), prot/hasProt the page protection;
+//   - a call-site state change (site != nil): old[:n] holds the site's
+//     current bytes and patched its patched flag before the write;
+//   - a logical state change (undo != nil): a closure, used only for
+//     per-function and per-pointer state, never per site.
+//
+// Every journaled write fits a call-site window (isa.MemCallSiteLen:
+// sites are 5 or 9 bytes, prologues 5, OSR slots and return addresses
+// 8, poke phases at most 8), so the bytes live inline and journaling
+// allocates nothing beyond the entries slice.
 type journalEntry struct {
 	addr    uint64
-	old     []byte
+	old     [isa.MemCallSiteLen]byte
+	n       uint8
 	prot    mem.Prot
 	hasProt bool
+	patched bool
+	site    *siteState
 	undo    func()
 }
+
+// isWrite reports whether the entry journals a text write.
+func (e *journalEntry) isWrite() bool { return e.site == nil && e.undo == nil }
 
 // txn journals one public runtime operation.
 type txn struct {
@@ -69,12 +88,14 @@ type txn struct {
 
 // beginTxn opens a transaction, or returns nil when one is already
 // open: nested operations join the enclosing transaction, which owns
-// the rollback decision.
+// the rollback decision. The journal is sized like the previous
+// transaction's, so a repeated commit journals into one allocation;
+// the journal itself is dropped with the transaction, not kept.
 func (rt *Runtime) beginTxn() *txn {
 	if rt.tx != nil {
 		return nil
 	}
-	rt.tx = &txn{}
+	rt.tx = &txn{entries: make([]journalEntry, 0, rt.lastTxnLen)}
 	return rt.tx
 }
 
@@ -85,6 +106,17 @@ func (rt *Runtime) noteUndo(fn func()) {
 	if rt.tx != nil {
 		rt.tx.entries = append(rt.tx.entries, journalEntry{undo: fn})
 	}
+}
+
+// noteSite journals a call site's state (current bytes and patched
+// flag) before patchSite changes it; rollback restores it in place.
+func (rt *Runtime) noteSite(st *siteState) {
+	if rt.tx == nil {
+		return
+	}
+	e := journalEntry{site: st, patched: st.patched}
+	e.n = uint8(copy(e.old[:], st.current))
+	rt.tx.entries = append(rt.tx.entries, e)
 }
 
 // writeText performs one journaled text write, dispatching on the
@@ -104,9 +136,16 @@ func (rt *Runtime) writeText(addr uint64, old, data []byte) error {
 // range is repaired to its journaled state and the write retried after
 // charging backoff cycles; a persistent fault or exhausted retries
 // return the error with the torn state still in place — the
-// transaction's rollback repairs it.
+// transaction's rollback repairs it. A write the journal cannot hold
+// (old and data of different lengths, or longer than a call-site
+// window) is refused before memory is touched.
 func (rt *Runtime) writeTextDirect(addr uint64, old, data []byte) error {
-	e := journalEntry{addr: addr, old: append([]byte(nil), old...)}
+	e := journalEntry{addr: addr}
+	if len(data) != len(old) || len(data) > len(e.old) {
+		return fmt.Errorf("core: cannot journal a write of %d bytes over %d at %#x (limit %d)",
+			len(data), len(old), addr, len(e.old))
+	}
+	e.n = uint8(copy(e.old[:], old))
 	e.prot, e.hasProt = rt.plat.M.Mem.ProtOf(addr)
 	if rt.tx != nil {
 		rt.tx.entries = append(rt.tx.entries, e)
@@ -118,7 +157,7 @@ func (rt *Runtime) writeTextDirect(addr uint64, old, data []byte) error {
 			if rt.Tracer != nil {
 				rt.Tracer.Emit(trace.KindCommitRetry, addr, uint64(attempt), 0)
 			}
-			rt.repairEntry(e)
+			rt.repairEntry(&e)
 			rt.backoff(attempt)
 		}
 		if err = rt.plat.Patch(addr, data); err == nil {
@@ -148,13 +187,13 @@ func (rt *Runtime) backoff(attempt int) {
 // strand a page writable). Restores themselves go through the injected
 // memory system and can fault; they are retried until the finite fault
 // plan runs dry or the bound trips.
-func (rt *Runtime) repairEntry(e journalEntry) error {
+func (rt *Runtime) repairEntry(e *journalEntry) error {
 	var errs []error
 	var err error
 	for try := 0; try < maxRestoreTries; try++ {
 		// Force-write regardless of current protections: rollback must
 		// succeed even when the fault left a page in an unexpected state.
-		if err = rt.plat.M.Mem.WriteForce(e.addr, e.old); err == nil {
+		if err = rt.plat.M.Mem.WriteForce(e.addr, e.old[:e.n]); err == nil {
 			break
 		}
 	}
@@ -163,7 +202,7 @@ func (rt *Runtime) repairEntry(e journalEntry) error {
 	}
 	if e.hasProt {
 		for try := 0; try < maxRestoreTries; try++ {
-			if err = rt.plat.M.Mem.Protect(e.addr, uint64(len(e.old)), e.prot); err == nil {
+			if err = rt.plat.M.Mem.Protect(e.addr, uint64(e.n), e.prot); err == nil {
 				break
 			}
 		}
@@ -179,9 +218,9 @@ func (rt *Runtime) repairEntry(e journalEntry) error {
 // shootdown protocol, and the defense against injected dropped-flush
 // faults.
 func (rt *Runtime) verifyFlushes(entries []journalEntry) {
-	for _, e := range entries {
-		if e.undo == nil {
-			rt.flushAck(e.addr, uint64(len(e.old)))
+	for i := range entries {
+		if e := &entries[i]; e.isWrite() {
+			rt.flushAck(e.addr, uint64(e.n))
 		}
 	}
 }
@@ -196,6 +235,7 @@ func (rt *Runtime) endTxn(t *txn, opErr error) error {
 		return opErr
 	}
 	rt.tx = nil
+	rt.lastTxnLen = len(t.entries)
 	if opErr == nil {
 		rt.verifyFlushes(t.entries)
 		return nil
@@ -212,17 +252,22 @@ func (rt *Runtime) abort(t *txn, cause error) error {
 	rolled := 0
 	endPhase := rt.phase("rollback")
 	for i := len(t.entries) - 1; i >= 0; i-- {
-		e := t.entries[i]
-		if e.undo != nil {
+		e := &t.entries[i]
+		switch {
+		case e.undo != nil:
 			e.undo()
+			continue
+		case e.site != nil:
+			copy(e.site.current, e.old[:e.n])
+			e.site.patched = e.patched
 			continue
 		}
 		if err := rt.repairEntry(e); err != nil {
 			errs = append(errs, err)
 		}
-		rt.plat.FlushICache(e.addr, uint64(len(e.old)))
+		rt.plat.FlushICache(e.addr, uint64(e.n))
 		if rt.Tracer != nil {
-			rt.Tracer.Emit(trace.KindRollback, e.addr, uint64(len(e.old)), 0)
+			rt.Tracer.Emit(trace.KindRollback, e.addr, uint64(e.n), 0)
 		}
 		rolled++
 	}

@@ -32,8 +32,10 @@ type Runtime struct {
 	sites      map[uint64][]*siteState
 
 	// tx is the open transaction, if any; see journal.go. Public
-	// operations open one, nested helpers join it.
-	tx *txn
+	// operations open one, nested helpers join it. lastTxnLen is the
+	// previous transaction's journal length, beginTxn's capacity hint.
+	tx         *txn
+	lastTxnLen int
 
 	// Options selects the commit concurrency mode and the activeness
 	// policy (sync.go); the zero value is the legacy parked contract.
@@ -319,30 +321,30 @@ func (rt *Runtime) selectVariant(fd *FuncDesc) (*VariantDesc, error) {
 // patchSite writes new bytes into a call site after verifying that it
 // still contains exactly what the runtime last installed.
 func (rt *Runtime) patchSite(st *siteState, newBytes []byte) error {
-	cur := make([]byte, st.size)
+	var curBuf, padBuf [isa.MemCallSiteLen]byte
+	cur := curBuf[:st.size]
 	if err := rt.plat.Read(st.desc.Addr, cur); err != nil {
 		return err
 	}
 	if !bytesEqual(cur, st.current) {
+		have := append([]byte(nil), cur...)
 		return fmt.Errorf("core: call site %#x was modified behind the runtime's back (have %x, expect %x)",
-			st.desc.Addr, cur, st.current)
+			st.desc.Addr, have, st.current)
 	}
 	// Pad to the full patch unit so no stale instruction tail remains.
-	padded := append([]byte(nil), newBytes...)
-	if rest := st.size - len(padded); rest > 0 {
-		padded = append(padded, isa.EncodeNop(rest)...)
-	} else if rest < 0 {
+	rest := st.size - len(newBytes)
+	if rest < 0 {
 		return fmt.Errorf("core: patch of %d bytes exceeds %d-byte site %#x", len(newBytes), st.size, st.desc.Addr)
+	}
+	padded := padBuf[:st.size]
+	copy(padded, newBytes)
+	if rest > 0 {
+		copy(padded[len(newBytes):], isa.EncodeNop(rest))
 	}
 	if err := rt.writeText(st.desc.Addr, cur, padded); err != nil {
 		return err
 	}
-	prevCur := append([]byte(nil), st.current...)
-	prevPatched := st.patched
-	rt.noteUndo(func() {
-		copy(st.current, prevCur)
-		st.patched = prevPatched
-	})
+	rt.noteSite(st)
 	copy(st.current, padded)
 	st.patched = !bytesEqual(st.current, st.original)
 	rt.plat.FlushICache(st.desc.Addr, uint64(st.size))
@@ -394,13 +396,13 @@ func (rt *Runtime) installAtSites(fs *funcState, v *VariantDesc) error {
 	if err := rt.plat.Read(v.Addr, body); err != nil {
 		return err
 	}
-	payload, inlinable := inlinePayload(body)
-	if rt.DisableInlining {
-		inlinable = false
+	var inlined []byte // the site bytes of an inlinable body, built once
+	if payload, ok := inlinePayload(body); ok && !rt.DisableInlining {
+		inlined = encodePatched(payload)
 	}
 	for _, st := range sites {
-		if inlinable {
-			if err := rt.patchSite(st, encodePatched(payload)); err != nil {
+		if inlined != nil {
+			if err := rt.patchSite(st, inlined); err != nil {
 				return err
 			}
 			rt.Stats.SitesInlined++
@@ -636,15 +638,16 @@ func (rt *Runtime) commitFnPtr(ps *fnptrState) (bool, error) {
 	// body straight into the site; otherwise fall back to a direct
 	// call. The body length is unknown for plain pointers, so read a
 	// small window and let the decoder find the RET.
-	var payload []byte
-	inlinable := false
+	var inlined []byte
 	window := make([]byte, 64)
 	if err := rt.plat.Read(val, window); err == nil && !rt.DisableInlining {
-		payload, inlinable = inlinePayload(window)
+		if payload, ok := inlinePayload(window); ok {
+			inlined = encodePatched(payload)
+		}
 	}
 	for _, st := range rt.sites[ps.vd.Addr] {
-		if inlinable {
-			if err := rt.patchSite(st, encodePatched(payload)); err != nil {
+		if inlined != nil {
+			if err := rt.patchSite(st, inlined); err != nil {
 				return false, err
 			}
 			rt.Stats.SitesInlined++

@@ -37,6 +37,7 @@ func TestRuntimeFieldsClassifiedForSnapshot(t *testing.T) {
 		"Options": true,                                  // commit-mode policy, chosen by the harness
 		"Tracer":  true, "flight": true, "metrics": true, // observability hooks
 		"DisableInlining": true, "PrologueOnly": true, // ablation policy knobs
+		"lastTxnLen": true, // journal capacity hint; no effect on behaviour
 	}
 	typ := reflect.TypeOf(Runtime{})
 	for i := 0; i < typ.NumField(); i++ {

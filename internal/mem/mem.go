@@ -6,6 +6,14 @@
 // real MMU: writing to a read-only text page faults, and under W^X a
 // page can never be writable and executable at the same time — exactly
 // the constraints §7.2 of the paper discusses.
+//
+// A Memory memoizes its most recent page lookup (lastPN/lastPg): the
+// runtime's commit path touches the same few text pages about ten times
+// per call site, and the memo turns those map lookups into one
+// comparison. The memo is host state only — never serialized, no
+// simulated effect — and is cleared wherever a page leaves the address
+// space (Unmap, ImportPages). Because even reads update it, a Memory is
+// not safe for concurrent use, reads included.
 package mem
 
 import (
@@ -152,6 +160,11 @@ type Injector interface {
 type Memory struct {
 	pages map[uint64]*page // keyed by page number (addr >> PageShift)
 
+	// lastPN/lastPg memoize the most recent successful page lookup;
+	// lastPg is nil when the memo is empty. See lookup.
+	lastPN uint64
+	lastPg *page
+
 	// WXExclusive enforces strict W^X: Map and Protect reject any
 	// protection with both Write and Exec set.
 	WXExclusive bool
@@ -173,6 +186,22 @@ func New() *Memory {
 	return &Memory{pages: make(map[uint64]*page)}
 }
 
+// lookup returns the page with number pn, through the one-entry memo.
+func (m *Memory) lookup(pn uint64) (*page, bool) {
+	if m.lastPg != nil && m.lastPN == pn {
+		return m.lastPg, true
+	}
+	pg, ok := m.pages[pn]
+	if ok {
+		m.lastPN, m.lastPg = pn, pg
+	}
+	return pg, ok
+}
+
+// wraps reports whether the nonempty range [addr, addr+length) runs
+// past the top of the address space.
+func wraps(addr, length uint64) bool { return addr+length-1 < addr }
+
 func (m *Memory) checkWX(prot Prot) error {
 	if m.WXExclusive && prot&Write != 0 && prot&Exec != 0 {
 		return fmt.Errorf("mem: W^X policy forbids %s mapping", prot)
@@ -189,6 +218,9 @@ func (m *Memory) Map(addr, length uint64, prot Prot) error {
 	}
 	if length == 0 {
 		return fmt.Errorf("mem: Map with zero length")
+	}
+	if wraps(addr, length) {
+		return fmt.Errorf("mem: Map(%#x, %#x) wraps past the top of the address space", addr, length)
 	}
 	if err := m.checkWX(prot); err != nil {
 		return err
@@ -216,6 +248,9 @@ func (m *Memory) Unmap(addr, length uint64) error {
 	if length == 0 {
 		return fmt.Errorf("mem: Unmap with zero length")
 	}
+	if wraps(addr, length) {
+		return fmt.Errorf("mem: Unmap(%#x, %#x) wraps past the top of the address space", addr, length)
+	}
 	first := addr >> PageShift
 	n := length >> PageShift
 	for i := uint64(0); i < n; i++ {
@@ -227,6 +262,7 @@ func (m *Memory) Unmap(addr, length uint64) error {
 	for i := uint64(0); i < n; i++ {
 		delete(m.pages, first+i)
 	}
+	m.lastPg = nil
 	return nil
 }
 
@@ -240,13 +276,16 @@ func (m *Memory) Protect(addr, length uint64, prot Prot) error {
 	if length == 0 {
 		return fmt.Errorf("mem: Protect with zero length")
 	}
+	if wraps(addr, length) {
+		return fmt.Errorf("mem: Protect(%#x, %#x) wraps past the top of the address space", addr, length)
+	}
 	if err := m.checkWX(prot); err != nil {
 		return err
 	}
 	first := addr >> PageShift
 	last := (addr + length - 1) >> PageShift
 	for pn := first; pn <= last; pn++ {
-		if _, ok := m.pages[pn]; !ok {
+		if _, ok := m.lookup(pn); !ok {
 			return fmt.Errorf("mem: Protect(%#x, %#x): %w", addr, length,
 				&Fault{Addr: pn << PageShift, Kind: AccessWrite})
 		}
@@ -259,9 +298,11 @@ func (m *Memory) Protect(addr, length uint64, prot Prot) error {
 			return err
 		}
 	}
-	old := m.pages[first].prot
+	pg, _ := m.lookup(first)
+	old := pg.prot
 	for pn := first; pn <= last; pn++ {
-		m.pages[pn].prot = prot
+		pg, _ = m.lookup(pn)
+		pg.prot = prot
 	}
 	m.Stats.ProtectCalls++
 	if m.Tracer != nil {
@@ -272,7 +313,7 @@ func (m *Memory) Protect(addr, length uint64, prot Prot) error {
 
 // ProtOf returns the protection of the page containing addr.
 func (m *Memory) ProtOf(addr uint64) (Prot, bool) {
-	p, ok := m.pages[addr>>PageShift]
+	p, ok := m.lookup(addr >> PageShift)
 	if !ok {
 		return 0, false
 	}
@@ -283,7 +324,7 @@ func (m *Memory) ProtOf(addr uint64) (Prot, bool) {
 // addr. It is incremented on every store to the page; the CPU's
 // instruction cache uses it to detect (un)flushed code modification.
 func (m *Memory) PageVersion(addr uint64) (uint64, bool) {
-	p, ok := m.pages[addr>>PageShift]
+	p, ok := m.lookup(addr >> PageShift)
 	if !ok {
 		return 0, false
 	}
@@ -291,7 +332,7 @@ func (m *Memory) PageVersion(addr uint64) (uint64, bool) {
 }
 
 func (m *Memory) fault(addr uint64, kind AccessKind) error {
-	p, ok := m.pages[addr>>PageShift]
+	p, ok := m.lookup(addr >> PageShift)
 	f := &Fault{Addr: addr, Kind: kind, Mapped: ok}
 	if ok {
 		f.Prot = p.prot
@@ -306,7 +347,7 @@ func (m *Memory) access(addr uint64, n int, kind AccessKind, need Prot, f func(p
 		return nil
 	}
 	for n > 0 {
-		pg, ok := m.pages[addr>>PageShift]
+		pg, ok := m.lookup(addr >> PageShift)
 		if !ok || pg.prot&need != need {
 			return m.fault(addr, kind)
 		}

@@ -125,3 +125,35 @@ func TestProtectUnalignedPartialRangeIsAtomic(t *testing.T) {
 		t.Fatalf("page 3 prot = %v after failed widened Protect, want RW", got)
 	}
 }
+
+// TestRangesWrappingAddressSpaceRejected feeds Map, Unmap and Protect
+// ranges that run past 2^64. Each must fail cleanly — no panic, no page
+// created or dropped at a page number no address reaches — and leave
+// memory exactly as it was.
+func TestRangesWrappingAddressSpaceRejected(t *testing.T) {
+	const top = 0xFFFF_FFFF_FFFF_F000 // last page of the address space
+	for _, c := range []struct {
+		name string
+		op   func(m *Memory) error
+	}{
+		{"Map", func(m *Memory) error { return m.Map(top, 2*PageSize, RW) }},
+		{"Unmap", func(m *Memory) error { return m.Unmap(top, 2*PageSize) }},
+		{"Protect", func(m *Memory) error { return m.Protect(top, 2*PageSize, RW) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := New()
+			if err := m.Map(0, PageSize, RX); err != nil {
+				t.Fatal(err)
+			}
+			before, stats := m.Regions(), m.Stats
+			if err := c.op(m); err == nil {
+				t.Fatalf("%s of a range wrapping past 2^64 succeeded", c.name)
+			}
+			after := m.Regions()
+			if len(after) != len(before) || after[0] != before[0] || m.Stats != stats {
+				t.Fatalf("%s changed memory: regions %v -> %v, stats %+v -> %+v",
+					c.name, before, after, stats, m.Stats)
+			}
+		})
+	}
+}

@@ -81,6 +81,7 @@ func (m *Memory) ImportPages(pages []PageState) error {
 		}
 	}
 	m.pages = fresh
+	m.lastPg = nil
 	return nil
 }
 

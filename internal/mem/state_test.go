@@ -19,6 +19,8 @@ func TestMemoryFieldsClassifiedForSnapshot(t *testing.T) {
 		"WXExclusive": true, // policy chosen at construction, not state
 		"Tracer":      true, // observability hook
 		"Inject":      true, // fault-injection wiring
+		"lastPN":      true, // page-lookup memo; cleared by ImportPages
+		"lastPg":      true,
 	}
 	typ := reflect.TypeOf(Memory{})
 	for i := 0; i < typ.NumField(); i++ {
