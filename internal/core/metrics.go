@@ -105,7 +105,7 @@ func AttachMetrics(reg *metrics.Registry, m *machine.Machine, rt *Runtime) *MVMe
 	reg.SetClock(m.CPU.Cycles)
 
 	stat := func(pick func(s machineStats) uint64) func() uint64 {
-		return func() uint64 { return pick(machineStats{m.TotalStats(), m.Mem.Stats}) }
+		return func() uint64 { return pick(machineStats{m.TotalStats(), m.TotalTierStats(), m.Mem.Stats}) }
 	}
 	type cf struct {
 		name, help string
@@ -131,17 +131,17 @@ func AttachMetrics(reg *metrics.Registry, m *machine.Machine, rt *Runtime) *MVMe
 		{"mv_icache_fills_total", "Instruction-cache line fills.",
 			stat(func(s machineStats) uint64 { return s.cpu.ICacheFills })},
 		{"mv_decode_hits_total", "Instructions dispatched from the predecoded cache.",
-			stat(func(s machineStats) uint64 { return s.cpu.DecodeHits })},
+			stat(func(s machineStats) uint64 { return s.tier.DecodeHits })},
 		{"mv_decode_misses_total", "Instructions decoded from raw bytes.",
-			stat(func(s machineStats) uint64 { return s.cpu.DecodeMisses })},
+			stat(func(s machineStats) uint64 { return s.tier.DecodeMisses })},
 		{"mv_superblock_builds_total", "Superblocks chained from icache-line snapshots.",
-			stat(func(s machineStats) uint64 { return s.cpu.BlockBuilds })},
+			stat(func(s machineStats) uint64 { return s.tier.BlockBuilds })},
 		{"mv_superblock_hits_total", "Superblock dispatches (block entries and re-entries).",
-			stat(func(s machineStats) uint64 { return s.cpu.BlockHits })},
+			stat(func(s machineStats) uint64 { return s.tier.BlockHits })},
 		{"mv_superblock_insts_total", "Instructions dispatched through superblocks.",
-			stat(func(s machineStats) uint64 { return s.cpu.BlockInsts })},
+			stat(func(s machineStats) uint64 { return s.tier.BlockInsts })},
 		{"mv_superblock_invalidated_total", "Superblocks dropped by icache flushes.",
-			stat(func(s machineStats) uint64 { return s.cpu.BlockInvalidates })},
+			stat(func(s machineStats) uint64 { return s.tier.BlockInvalidates })},
 		{"mv_mem_protect_calls_total", "mem.Protect transitions (mprotect analogue).",
 			stat(func(s machineStats) uint64 { return s.mem.ProtectCalls })},
 		{"mv_icache_flushes_total", "Explicit icache invalidations after patching.",
@@ -268,10 +268,11 @@ func AttachMetrics(reg *metrics.Registry, m *machine.Machine, rt *Runtime) *MVMe
 	return mm
 }
 
-// machineStats bundles the two scrape sources of one machine.
+// machineStats bundles the scrape sources of one machine.
 type machineStats struct {
-	cpu cpu.Stats
-	mem mem.Stats
+	cpu  cpu.Stats
+	tier cpu.TierStats
+	mem  mem.Stats
 }
 
 // beginCommit opens a commit span: it snapshots the counters the

@@ -157,8 +157,10 @@ type btbEntry struct {
 	target  uint64 // predicted indirect target
 }
 
-// Stats accumulates execution statistics. The fields are plain
-// uint64s incremented in the interpreter loop; the metrics registry
+// Stats accumulates the simulated execution statistics: counts of
+// architectural events, identical whichever interpreter tier ran the
+// code, and part of every snapshot. The fields are plain uint64s
+// incremented in the interpreter loop; the metrics registry
 // (internal/metrics via core.AttachMetrics) reads them through
 // closures at export time, so observability never adds work here.
 type Stats struct {
@@ -170,14 +172,7 @@ type Stats struct {
 	Calls        uint64
 	ICacheFills  uint64
 	Interrupts   uint64
-	DecodeHits   uint64 // instructions dispatched from the decode cache
-	DecodeMisses uint64 // instructions fetched and decoded from the icache bytes
 	Traps        uint64 // BRK breakpoint traps taken (text-poke windows)
-
-	BlockBuilds      uint64 // superblocks chained from icache-line snapshots
-	BlockHits        uint64 // superblock dispatches (one per block entry/re-entry)
-	BlockInsts       uint64 // instructions dispatched through superblocks
-	BlockInvalidates uint64 // superblocks dropped by FlushICache
 }
 
 // Add returns the field-wise sum of s and o — how per-CPU stats
@@ -192,36 +187,34 @@ func (s Stats) Add(o Stats) Stats {
 		Calls:        s.Calls + o.Calls,
 		ICacheFills:  s.ICacheFills + o.ICacheFills,
 		Interrupts:   s.Interrupts + o.Interrupts,
-		DecodeHits:   s.DecodeHits + o.DecodeHits,
-		DecodeMisses: s.DecodeMisses + o.DecodeMisses,
 		Traps:        s.Traps + o.Traps,
+	}
+}
 
+// TierStats counts the work of the host-side interpreter tiers (the
+// decode cache and superblocks). They depend on which tier ran and on
+// what the caches held, never on simulated state, so they are host
+// wiring: no snapshot carries them and ImportState leaves them alone.
+type TierStats struct {
+	DecodeHits   uint64 // instructions dispatched from the decode cache
+	DecodeMisses uint64 // instructions fetched and decoded from the icache bytes
+
+	BlockBuilds      uint64 // superblocks chained from icache-line snapshots
+	BlockHits        uint64 // superblock dispatches (one per block entry/re-entry)
+	BlockInsts       uint64 // instructions dispatched through superblocks
+	BlockInvalidates uint64 // superblocks dropped by FlushICache
+}
+
+// Add returns the field-wise sum of s and o.
+func (s TierStats) Add(o TierStats) TierStats {
+	return TierStats{
+		DecodeHits:       s.DecodeHits + o.DecodeHits,
+		DecodeMisses:     s.DecodeMisses + o.DecodeMisses,
 		BlockBuilds:      s.BlockBuilds + o.BlockBuilds,
 		BlockHits:        s.BlockHits + o.BlockHits,
 		BlockInsts:       s.BlockInsts + o.BlockInsts,
 		BlockInvalidates: s.BlockInvalidates + o.BlockInvalidates,
 	}
-}
-
-// DecodeHitRatio returns DecodeHits/(DecodeHits+DecodeMisses), or 0
-// when the decode cache has not been exercised.
-func (s Stats) DecodeHitRatio() float64 {
-	total := s.DecodeHits + s.DecodeMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.DecodeHits) / float64(total)
-}
-
-// BlockHitRatio returns the fraction of instructions dispatched
-// through superblocks, or 0 when nothing has executed. Never NaN:
-// ratio gauges are exported straight into JSON, which cannot
-// represent NaN.
-func (s Stats) BlockHitRatio() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	return float64(s.BlockInsts) / float64(s.Instructions)
 }
 
 // CPU is a single m64 hardware thread.
@@ -260,8 +253,9 @@ type CPU struct {
 	// cycleStop, when non-zero, makes stepFastN stop chaining
 	// superblocks once the cycle counter reaches it — the pause
 	// mechanism RunUntil uses to park the CPU at a block-chain boundary
-	// without ever splitting a block (which would perturb BlockHits and
-	// break checkpoint determinism). Zero outside RunUntil.
+	// without ever splitting a block. A split would perturb only host
+	// counters (BlockHits), but keeping blocks whole lets a paused run's
+	// TierStats match an uninterrupted run's too. Zero outside RunUntil.
 	cycleStop uint64
 
 	// OutB receives device writes; nil discards them.
@@ -270,6 +264,7 @@ type CPU struct {
 	InB func(port uint8) byte
 
 	stats Stats
+	tier  TierStats
 }
 
 type icLine struct {
@@ -367,8 +362,11 @@ func (c *CPU) AddCycles(n uint64) { c.cycles += n }
 // Halted reports whether the CPU has executed HLT.
 func (c *CPU) Halted() bool { return c.halted }
 
-// Stats returns a copy of the execution statistics.
+// Stats returns a copy of the simulated execution statistics.
 func (c *CPU) Stats() Stats { return c.stats }
+
+// TierStats returns a copy of the interpreter-tier statistics.
+func (c *CPU) TierStats() TierStats { return c.tier }
 
 // Mode returns the execution mode.
 func (c *CPU) Mode() Mode { return c.mode }
@@ -425,7 +423,7 @@ func (c *CPU) FlushICache(addr, n uint64) {
 	last := (addr + n - 1) >> mem.PageShift
 	for pn := first; pn <= last; pn++ {
 		if line, ok := c.icache[pn]; ok {
-			c.stats.BlockInvalidates += uint64(line.nsb)
+			c.tier.BlockInvalidates += uint64(line.nsb)
 			delete(c.icache, pn)
 		}
 	}
@@ -545,7 +543,7 @@ func (c *CPU) Step() error {
 		}
 	}
 	if in := c.cachedInst(pc); in != nil {
-		c.stats.DecodeHits++
+		c.tier.DecodeHits++
 		if c.tracer != nil {
 			c.tracer.Step(pc, c.cycles)
 		}
@@ -561,7 +559,7 @@ func (c *CPU) stepDecode(pc uint64) error {
 	if err != nil {
 		return err
 	}
-	c.stats.DecodeMisses++
+	c.tier.DecodeMisses++
 	c.cacheInst(pc, in)
 	if c.tracer != nil {
 		c.tracer.Step(pc, c.cycles)

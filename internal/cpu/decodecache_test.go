@@ -78,19 +78,19 @@ func TestDecodeCacheHitsOnHotLoop(t *testing.T) {
 	c := newVM(t, hotLoop(1000))
 	run(t, c)
 	checkLineCaches(t, c)
-	st := c.Stats()
-	if st.DecodeHits+st.DecodeMisses != st.Instructions {
+	st, ts := c.Stats(), c.TierStats()
+	if ts.DecodeHits+ts.DecodeMisses != st.Instructions {
 		t.Errorf("hits %d + misses %d != instructions %d",
-			st.DecodeHits, st.DecodeMisses, st.Instructions)
+			ts.DecodeHits, ts.DecodeMisses, st.Instructions)
 	}
 	// Four distinct loop instructions plus prologue/HLT decode once;
 	// every further execution must be a hit.
-	if st.DecodeMisses > 6 {
-		t.Errorf("misses = %d, want one per distinct pc (<= 6)", st.DecodeMisses)
+	if ts.DecodeMisses > 6 {
+		t.Errorf("misses = %d, want one per distinct pc (<= 6)", ts.DecodeMisses)
 	}
-	if st.DecodeHits < st.Instructions*9/10 {
+	if ts.DecodeHits < st.Instructions*9/10 {
 		t.Errorf("hits = %d of %d instructions; hot loop not served from cache",
-			st.DecodeHits, st.Instructions)
+			ts.DecodeHits, st.Instructions)
 	}
 }
 
@@ -130,12 +130,10 @@ func TestDecodeCacheCycleInvariance(t *testing.T) {
 			}
 		}
 		checkLineCaches(t, c)
-		st := c.Stats()
-		if !fresh && st.DecodeMisses > 12 {
-			t.Errorf("cached run missed %d times, want one per distinct pc", st.DecodeMisses)
+		if misses := c.TierStats().DecodeMisses; !fresh && misses > 12 {
+			t.Errorf("cached run missed %d times, want one per distinct pc", misses)
 		}
-		st.DecodeHits, st.DecodeMisses = 0, 0 // the only permitted difference
-		return c.Cycles(), st
+		return c.Cycles(), c.Stats()
 	}
 	cachedCycles, cachedStats := exec(false)
 	freshCycles, freshStats := exec(true)
@@ -159,7 +157,7 @@ func TestStaleDecodedInstructionUntilFlush(t *testing.T) {
 	run(t, c)
 	c.SetPC(textBase)
 	run(t, c)
-	if c.Stats().DecodeHits == 0 {
+	if c.TierStats().DecodeHits == 0 {
 		t.Fatal("second run not served from the decode cache")
 	}
 
@@ -168,13 +166,13 @@ func TestStaleDecodedInstructionUntilFlush(t *testing.T) {
 	if err := c.Mem.WriteForce(textBase, b.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	hits := c.Stats().DecodeHits
+	hits := c.TierStats().DecodeHits
 	c.SetPC(textBase)
 	run(t, c)
 	if c.Reg(0) != 1 {
 		t.Errorf("r0 = %d after unflushed patch, want stale 1", c.Reg(0))
 	}
-	if got := c.Stats().DecodeHits - hits; got == 0 {
+	if got := c.TierStats().DecodeHits - hits; got == 0 {
 		t.Error("post-patch run bypassed the decode cache")
 	}
 	// The stale entries still match the line's (stale) byte snapshot.
@@ -231,8 +229,8 @@ func TestStraddlingWindowNotCached(t *testing.T) {
 	if c.Reg(3) != want {
 		t.Errorf("r3 = %#x, want %#x (page-1 flush ignored)", c.Reg(3), want)
 	}
-	if c.Stats().DecodeHits != 0 {
-		t.Errorf("straddling instruction served from decode cache (%d hits)", c.Stats().DecodeHits)
+	if c.TierStats().DecodeHits != 0 {
+		t.Errorf("straddling instruction served from decode cache (%d hits)", c.TierStats().DecodeHits)
 	}
 	checkLineCaches(t, c)
 }

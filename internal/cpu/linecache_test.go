@@ -112,9 +112,6 @@ func cloneState(s State) State {
 	out.ICache = make([]ICLineState, len(s.ICache))
 	for i, ls := range s.ICache {
 		ls.Bytes = append([]byte(nil), ls.Bytes...)
-		ls.Decoded = append([]uint16(nil), ls.Decoded...)
-		ls.SBHeads = append([]uint16(nil), ls.SBHeads...)
-		ls.SBRject = append([]uint16(nil), ls.SBRject...)
 		out.ICache[i] = ls
 	}
 	return out

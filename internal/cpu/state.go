@@ -1,31 +1,30 @@
 // CPU state export/import for deterministic machine snapshots.
 //
-// ExportState captures everything a CPU's future execution depends on:
-// architectural state (registers, pc, flags operands, stack pointer is
-// a register), the microarchitectural predictors (BTB, RAS) whose
-// contents change simulated cycle counts, the interrupt-perturbation
-// schedule, and — crucially — the instruction cache, because stale
-// icache lines are architecturally visible in this machine: a CPU
-// keeps executing its snapshot of a page until FlushICache, so two
-// machines with identical memory but different resident lines can
-// diverge.
+// ExportState captures everything a CPU's future simulated execution
+// depends on: architectural state (registers, pc, flags operands, stack
+// pointer is a register), the microarchitectural predictors (BTB, RAS)
+// whose contents change simulated cycle counts, the
+// interrupt-perturbation schedule, the simulated statistics, and —
+// crucially — the instruction cache, because stale icache lines are
+// architecturally visible in this machine: a CPU keeps executing its
+// snapshot of a page until FlushICache, so two machines with identical
+// memory but different resident lines can diverge.
 //
-// The derived caches layered on each line (predecoded instructions,
-// superblocks) never change simulated behavior, but they do change the
-// Decode*/Block* statistics, and snapshot determinism demands that a
-// restored machine's stats evolve bit-identically to the uninterrupted
-// run. ExportState therefore records *which* offsets were decoded and
-// which headed superblocks; ImportState rebuilds those entries from
-// the line's byte snapshot (a pure, deterministic derivation) and then
-// overwrites the stats with the snapshot's values, so the rebuild
-// itself leaves no trace.
+// A line is exported as its byte snapshot and nothing else. The
+// predecoded instructions and superblocks layered on it are host
+// accelerators: each one is a pure function of the line bytes and its
+// pc (decodecache.go, superblock.go), so an imported line starts empty
+// and rebuilds them lazily on first execution, exactly as a freshly
+// filled line does. Likewise the interpreter tier a CPU runs
+// (superblocks on or off) and its TierStats belong to the CPU, not to
+// the state: ImportState keeps both.
 //
 // Host wiring — the memory reference, the cost model, tracers, fault
-// injectors, device callbacks and the decode-cache line memo — is
-// deliberately not state: it belongs to the constructing harness, and
-// the memo is rebuilt lazily. state_test.go enumerates every CPU field
-// and fails compilation of a lie: adding a field without classifying
-// it as serialized or host-wiring breaks the build gate.
+// injectors, device callbacks, the tier and its counters, and the
+// decode-cache line memo — is deliberately not state: it belongs to
+// the constructing harness. state_test.go enumerates every CPU field
+// and fails on a field added without classifying it as serialized or
+// host wiring.
 
 package cpu
 
@@ -46,17 +45,11 @@ type BTBState struct {
 }
 
 // ICLineState is one exported instruction-cache line: the page-byte
-// snapshot plus the offsets of its derived decode-cache and superblock
-// entries (offsets only — the entries rebuild deterministically from
-// Bytes at import).
+// snapshot taken at fill time.
 type ICLineState struct {
 	PN      uint64 // page number
 	Version uint64 // page write-version at fill time
 	Bytes   []byte // PageSize-long snapshot; read-only (see ExportState)
-
-	Decoded []uint16 // in-page offsets with a predecoded instruction
-	SBHeads []uint16 // in-page offsets heading a real superblock
-	SBRject []uint16 // in-page offsets caching the reject sentinel
 }
 
 // State is the complete serializable state of one CPU.
@@ -71,8 +64,6 @@ type State struct {
 	BTB  []BTBState
 	RAS  []uint64
 	RASN int
-
-	Superblocks bool
 
 	Mode       uint8
 	IntrOn     bool
@@ -92,67 +83,31 @@ type State struct {
 // mutating the rest of the State or the CPU afterwards is safe.
 func (c *CPU) ExportState() State {
 	s := State{
-		Regs:        c.regs,
-		PC:          c.pc,
-		Cycles:      c.cycles,
-		Halted:      c.halted,
-		CmpA:        c.cmpA,
-		CmpB:        c.cmpB,
-		RAS:         append([]uint64(nil), c.ras...),
-		RASN:        c.rasN,
-		Superblocks: c.superblocks,
-		Mode:        uint8(c.mode),
-		IntrOn:      c.intrOn,
-		IntrPeriod:  c.intrPeriod,
-		IntrCost:    c.intrCost,
-		NextIntr:    c.nextIntr,
-		Stats:       c.stats,
+		Regs:       c.regs,
+		PC:         c.pc,
+		Cycles:     c.cycles,
+		Halted:     c.halted,
+		CmpA:       c.cmpA,
+		CmpB:       c.cmpB,
+		RAS:        append([]uint64(nil), c.ras...),
+		RASN:       c.rasN,
+		Mode:       uint8(c.mode),
+		IntrOn:     c.intrOn,
+		IntrPeriod: c.intrPeriod,
+		IntrCost:   c.intrCost,
+		NextIntr:   c.nextIntr,
+		Stats:      c.stats,
 	}
 	s.BTB = make([]BTBState, len(c.btb))
 	for i, e := range c.btb {
 		s.BTB[i] = BTBState{Valid: e.valid, Tag: e.tag, Counter: e.counter, Target: e.target}
 	}
-	pns := make([]uint64, 0, len(c.icache))
-	for pn := range c.icache {
-		pns = append(pns, pn)
+	s.ICache = make([]ICLineState, 0, len(c.icache))
+	for pn, line := range c.icache {
+		s.ICache = append(s.ICache, ICLineState{PN: pn, Version: line.version, Bytes: line.bytes})
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
-		line := c.icache[pn]
-		ls := ICLineState{PN: pn, Version: line.version, Bytes: line.bytes}
-		if len(line.ents) > 0 {
-			for off, i := range &line.idx {
-				if i == 0 {
-					continue
-				}
-				e := &line.ents[i-1]
-				if e.in.Len != 0 {
-					ls.Decoded = append(ls.Decoded, uint16(off))
-				}
-				switch {
-				case e.sb == nil:
-				case len(e.sb.entries) == 0:
-					ls.SBRject = append(ls.SBRject, uint16(off))
-				default:
-					ls.SBHeads = append(ls.SBHeads, uint16(off))
-				}
-			}
-		}
-		s.ICache = append(s.ICache, ls)
-	}
+	sort.Slice(s.ICache, func(i, j int) bool { return s.ICache[i].PN < s.ICache[j].PN })
 	return s
-}
-
-// decodeLineInst decodes the instruction at in-page offset off from a
-// line's byte snapshot, exactly as stepDecode does. It is the
-// deterministic derivation ImportState replays to rebuild decode cache
-// entries.
-func decodeLineInst(line *icLine, off int) (isa.Inst, error) {
-	w := line.bytes[off:]
-	if len(w) > maxInstLen {
-		w = w[:maxInstLen]
-	}
-	return decodeWindow(w)
 }
 
 // ImportState restores a previously exported state onto this CPU. The
@@ -160,10 +115,9 @@ func decodeLineInst(line *icLine, off int) (isa.Inst, error) {
 // CPU used (the predictor geometry is checked; the cost model is the
 // caller's contract). The restored lines share each ICLineState's
 // Bytes (read-only, as ExportState documents), so one State can be
-// imported any number of times without copying. Derived caches are
-// rebuilt from the line byte snapshots and the statistics then
-// overwritten from the snapshot, so a restored CPU's counters evolve
-// bit-identically to the exporting run.
+// imported any number of times without copying. The lines start with
+// no derived entries; decodes and superblocks rebuild lazily as the
+// CPU executes them. The CPU's tier and TierStats are left untouched.
 func (c *CPU) ImportState(s State) error {
 	if len(s.BTB) != len(c.btb) {
 		return fmt.Errorf("cpu: snapshot BTB has %d entries, this CPU %d (different Config)", len(s.BTB), len(c.btb))
@@ -172,29 +126,14 @@ func (c *CPU) ImportState(s State) error {
 		return fmt.Errorf("cpu: snapshot RAS depth %d, this CPU %d (different Config)", len(s.RAS), len(c.ras))
 	}
 	icache := make(map[uint64]*icLine, len(s.ICache))
-	for i := range s.ICache {
-		ls := &s.ICache[i]
+	for _, ls := range s.ICache {
 		if len(ls.Bytes) != mem.PageSize {
 			return fmt.Errorf("cpu: snapshot icache line %#x holds %d bytes, want %d", ls.PN, len(ls.Bytes), mem.PageSize)
 		}
 		if _, dup := icache[ls.PN]; dup {
 			return fmt.Errorf("cpu: snapshot repeats icache line %#x", ls.PN)
 		}
-		line := &icLine{bytes: ls.Bytes, version: ls.Version}
-		if n := len(ls.Decoded) + len(ls.SBHeads) + len(ls.SBRject); n > 0 {
-			line.ents = make([]lineEnt, 0, n) // at most one entry per listed offset
-		}
-		for _, off := range ls.Decoded {
-			if int(off)+maxInstLen > mem.PageSize {
-				return fmt.Errorf("cpu: snapshot decode offset %#x too close to the line end", off)
-			}
-			in, err := decodeLineInst(line, int(off))
-			if err != nil {
-				return fmt.Errorf("cpu: rebuilding decode cache for line %#x: %w", ls.PN, err)
-			}
-			line.ent(uint64(off)).in = in
-		}
-		icache[ls.PN] = line
+		icache[ls.PN] = &icLine{bytes: ls.Bytes, version: ls.Version}
 	}
 	c.regs = s.Regs
 	c.pc = s.PC
@@ -206,7 +145,6 @@ func (c *CPU) ImportState(s State) error {
 	}
 	copy(c.ras, s.RAS)
 	c.rasN = s.RASN
-	c.superblocks = s.Superblocks
 	c.mode = Mode(s.Mode)
 	c.intrOn = s.IntrOn
 	c.intrPeriod = s.IntrPeriod
@@ -215,25 +153,6 @@ func (c *CPU) ImportState(s State) error {
 	c.icache = icache
 	c.lastPN, c.lastLine = 0, nil // memo points at dropped lines
 	c.cycleStop = 0
-	// Superblock rebuild goes through buildBlock — the same derivation
-	// the original run performed — which bumps nsb and BlockBuilds;
-	// overwriting the stats afterwards erases the rebuild's traces.
-	for i := range s.ICache {
-		ls := &s.ICache[i]
-		line := c.icache[ls.PN]
-		for _, off := range ls.SBHeads {
-			b := c.buildBlock(line, ls.PN<<mem.PageShift|uint64(off))
-			if len(b.entries) == 0 {
-				return fmt.Errorf("cpu: snapshot superblock head %#x rebuilds empty", ls.PN<<mem.PageShift|uint64(off))
-			}
-		}
-		for _, off := range ls.SBRject {
-			b := c.buildBlock(line, ls.PN<<mem.PageShift|uint64(off))
-			if len(b.entries) != 0 {
-				return fmt.Errorf("cpu: snapshot reject sentinel %#x rebuilds non-empty", ls.PN<<mem.PageShift|uint64(off))
-			}
-		}
-	}
 	c.stats = s.Stats
 	return nil
 }
@@ -247,10 +166,10 @@ func (c *CPU) ImportState(s State) error {
 // The pause point never perturbs the run: on the fast path
 // the superblock chain is interrupted only between block dispatches
 // (execBlock is never asked to split a block it would otherwise run
-// whole, which would change the BlockHits accounting), so a run paused
-// by RunUntil and then continued retires the same instructions, cycles
-// and statistics as one uninterrupted Run — the invariant the
-// checkpoint difftests pin.
+// whole, which would change the host-side BlockHits count), so a run
+// paused by RunUntil and then continued retires the same instructions,
+// cycles and statistics — simulated and tier alike — as one
+// uninterrupted Run. The checkpoint difftests pin the simulated half.
 func (c *CPU) RunUntil(target, maxSteps uint64) (uint64, error) {
 	var steps uint64
 	if !c.stepHooked() {

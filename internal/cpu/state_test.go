@@ -18,8 +18,7 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 		"regs": true, "pc": true, "cycles": true, "halted": true,
 		"cmpA": true, "cmpB": true,
 		"btb": true, "ras": true, "rasN": true,
-		"superblocks": true,
-		"mode":        true, "intrOn": true,
+		"mode": true, "intrOn": true,
 		"intrPeriod": true, "intrCost": true, "nextIntr": true,
 		"icache": true, "stats": true,
 	}
@@ -31,18 +30,18 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 		"inject":     true, "id": true, // fault-injection wiring
 		"OutB": true, "InB": true, // device callbacks
 		"lastPN": true, "lastLine": true, // decode-cache memo, rebuilt lazily
-		"cycleStop": true, // transient RunUntil pause mark, zero at capture
+		"cycleStop":   true, // transient RunUntil pause mark, zero at capture
+		"superblocks": true, // interpreter tier: the constructor's choice
+		"tier":        true, // interpreter-tier counters
 	}
 	checkFields(t, reflect.TypeOf(CPU{}), serialized, hostWiring)
 
-	lineSerialized := map[string]bool{
-		"bytes": true, "version": true,
-		// ents and idx are serialized as offset lists (ICLineState
-		// Decoded/SBHeads/SBRject) and rebuilt deterministically from
-		// bytes at import; nsb is re-derived by the buildBlock calls.
+	lineSerialized := map[string]bool{"bytes": true, "version": true}
+	lineHostWiring := map[string]bool{
+		// Derived from bytes alone and rebuilt lazily after import.
 		"ents": true, "idx": true, "nsb": true,
 	}
-	checkFields(t, reflect.TypeOf(icLine{}), lineSerialized, nil)
+	checkFields(t, reflect.TypeOf(icLine{}), lineSerialized, lineHostWiring)
 }
 
 func checkFields(t *testing.T, typ reflect.Type, serialized, hostWiring map[string]bool) {
@@ -101,15 +100,15 @@ func stateVM(t *testing.T) *CPU {
 }
 
 // TestExportImportRoundTrip: importing an exported state onto a fresh
-// CPU (same config) reproduces it exactly, including the rebuilt
-// derived caches and the overwritten statistics.
+// CPU (same config) reproduces it exactly. The importing CPU keeps its
+// own interpreter tier and tier counters.
 func TestExportImportRoundTrip(t *testing.T) {
 	for _, sb := range []bool{false, true} {
 		c := stateVM(t)
-		c.SetSuperblocks(sb)
 		s := c.ExportState()
 
 		fresh := New(c.Mem, c.Config())
+		fresh.SetSuperblocks(sb)
 		if err := fresh.ImportState(s); err != nil {
 			t.Fatalf("superblocks=%v: %v", sb, err)
 		}
@@ -117,16 +116,11 @@ func TestExportImportRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(s, again) {
 			t.Fatalf("superblocks=%v: re-export diverged\nfirst:  %+v\nsecond: %+v", sb, s, again)
 		}
-		// The rebuilt superblock caches must carry the same line
-		// structure, not just the same export view.
-		for pn, line := range c.icache {
-			fl, ok := fresh.icache[pn]
-			if !ok {
-				t.Fatalf("line %#x missing after import", pn)
-			}
-			if fl.nsb != line.nsb {
-				t.Fatalf("line %#x: rebuilt nsb %d, original %d", pn, fl.nsb, line.nsb)
-			}
+		if fresh.SuperblocksEnabled() != sb {
+			t.Fatalf("superblocks=%v: import changed the tier", sb)
+		}
+		if got := fresh.TierStats(); got != (TierStats{}) {
+			t.Fatalf("superblocks=%v: import changed the tier counters: %+v", sb, got)
 		}
 	}
 }
@@ -195,6 +189,10 @@ func TestRunUntilPauseInvariance(t *testing.T) {
 		if straight.Stats() != paused.Stats() {
 			t.Fatalf("superblocks=%v: stats diverged\nstraight: %+v\npaused:   %+v",
 				sb, straight.Stats(), paused.Stats())
+		}
+		if straight.TierStats() != paused.TierStats() {
+			t.Fatalf("superblocks=%v: tier stats diverged\nstraight: %+v\npaused:   %+v",
+				sb, straight.TierStats(), paused.TierStats())
 		}
 	}
 }

@@ -182,7 +182,7 @@ func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
 		b = sbReject
 	} else {
 		line.nsb++
-		c.stats.BlockBuilds++
+		c.tier.BlockBuilds++
 	}
 	line.ent(pc & (mem.PageSize - 1)).sb = b
 	return b
@@ -209,8 +209,8 @@ func (c *CPU) execBlock(b *superblock, budget uint64) (uint64, error) {
 		if err != nil {
 			dispatched := done + 1
 			c.stats.Instructions += dispatched
-			c.stats.BlockInsts += dispatched
-			c.stats.DecodeHits += dispatched
+			c.tier.BlockInsts += dispatched
+			c.tier.DecodeHits += dispatched
 			return done, &execError{e.pc, err}
 		}
 		done++
@@ -225,9 +225,9 @@ func (c *CPU) execBlock(b *superblock, budget uint64) (uint64, error) {
 		}
 	}
 	c.stats.Instructions += done
-	c.stats.BlockInsts += done
-	c.stats.DecodeHits += done
-	c.stats.BlockHits++
+	c.tier.BlockInsts += done
+	c.tier.DecodeHits += done
+	c.tier.BlockHits++
 	return done, nil
 }
 
@@ -275,7 +275,7 @@ func (c *CPU) stepFastN(budget uint64) (uint64, error) {
 	// retire, so it must not count against the caller's step budget —
 	// the same contract as Run's Step loop.
 	if in := c.cachedInst(pc); in != nil {
-		c.stats.DecodeHits++
+		c.tier.DecodeHits++
 		if err := c.exec(*in); err != nil {
 			return 0, err
 		}

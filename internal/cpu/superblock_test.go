@@ -28,23 +28,23 @@ func TestSuperblockHotLoop(t *testing.T) {
 	c := newVM(t, hotLoopProgram(100))
 	c.SetSuperblocks(true)
 	run(t, c)
-	s := c.Stats()
-	if s.BlockBuilds == 0 {
+	s, ts := c.Stats(), c.TierStats()
+	if ts.BlockBuilds == 0 {
 		t.Error("no superblocks built on a hot loop")
 	}
-	if s.BlockHits < 100 {
-		t.Errorf("BlockHits = %d, want >= 100 (one per loop iteration)", s.BlockHits)
+	if ts.BlockHits < 100 {
+		t.Errorf("BlockHits = %d, want >= 100 (one per loop iteration)", ts.BlockHits)
 	}
-	if s.BlockInsts*10 < s.Instructions*9 {
+	if ts.BlockInsts*10 < s.Instructions*9 {
 		t.Errorf("BlockInsts = %d of %d instructions, want >= 90%% block-dispatched",
-			s.BlockInsts, s.Instructions)
+			ts.BlockInsts, s.Instructions)
 	}
 	// The decode-cache invariant DecodeHits+DecodeMisses == Instructions
 	// must survive block dispatch (block-retired instructions count as
 	// decode hits: they execute from predecoded state).
-	if s.DecodeHits+s.DecodeMisses != s.Instructions {
+	if ts.DecodeHits+ts.DecodeMisses != s.Instructions {
 		t.Errorf("DecodeHits %d + DecodeMisses %d != Instructions %d",
-			s.DecodeHits, s.DecodeMisses, s.Instructions)
+			ts.DecodeHits, ts.DecodeMisses, s.Instructions)
 	}
 }
 
@@ -55,7 +55,7 @@ func TestSuperblockDisabled(t *testing.T) {
 		t.Fatal("SetSuperblocks(false) did not stick")
 	}
 	run(t, c)
-	s := c.Stats()
+	s := c.TierStats()
 	if s.BlockBuilds != 0 || s.BlockHits != 0 || s.BlockInsts != 0 || s.BlockInvalidates != 0 {
 		t.Errorf("superblock stats nonzero with superblocks disabled: %+v", s)
 	}
@@ -63,8 +63,7 @@ func TestSuperblockDisabled(t *testing.T) {
 
 // TestSuperblockStateInvariance runs the same program with superblocks
 // on and off and requires identical architectural outcomes: registers,
-// pc, cycles and every stat that is not a host-side accelerator
-// counter.
+// pc, cycles and every simulated stat.
 func TestSuperblockStateInvariance(t *testing.T) {
 	exec := func(on bool) *CPU {
 		c := newVM(t, hotLoopProgram(1000))
@@ -83,12 +82,7 @@ func TestSuperblockStateInvariance(t *testing.T) {
 			t.Errorf("r%d differs: %#x vs %#x", r, a.Reg(isa.Reg(r)), b.Reg(isa.Reg(r)))
 		}
 	}
-	sa, sb := a.Stats(), b.Stats()
-	for _, s := range []*Stats{&sa, &sb} {
-		s.DecodeHits, s.DecodeMisses = 0, 0
-		s.BlockBuilds, s.BlockHits, s.BlockInsts, s.BlockInvalidates = 0, 0, 0, 0
-	}
-	if sa != sb {
+	if sa, sb := a.Stats(), b.Stats(); sa != sb {
 		t.Errorf("architectural stats differ:\non:  %+v\noff: %+v", sa, sb)
 	}
 }
@@ -192,11 +186,11 @@ func TestFlushOverlapInvalidatesBlocksExactly(t *testing.T) {
 	}
 	steady()
 	const steadyBuilds = 5
-	if got := c.Stats().BlockBuilds; got != steadyBuilds {
+	if got := c.TierStats().BlockBuilds; got != steadyBuilds {
 		t.Fatalf("BlockBuilds = %d at steady state, want %d", got, steadyBuilds)
 	}
 	steady()
-	if got := c.Stats().BlockBuilds; got != steadyBuilds {
+	if got := c.TierStats().BlockBuilds; got != steadyBuilds {
 		t.Fatalf("BlockBuilds = %d after steady re-run, want %d (no rebuild churn)",
 			got, steadyBuilds)
 	}
@@ -207,7 +201,7 @@ func TestFlushOverlapInvalidatesBlocksExactly(t *testing.T) {
 	check := func(what string) {
 		t.Helper()
 		steady()
-		if s := c.Stats(); s.BlockInvalidates != invals || s.BlockBuilds != builds {
+		if s := c.TierStats(); s.BlockInvalidates != invals || s.BlockBuilds != builds {
 			t.Fatalf("after %s: invalidates %d builds %d, want %d/%d",
 				what, s.BlockInvalidates, s.BlockBuilds, invals, builds)
 		}
@@ -281,7 +275,7 @@ func TestSuperblockBRKFallsToSlowPath(t *testing.T) {
 	c := newVM(t, hotLoopProgram(100))
 	c.SetSuperblocks(true)
 	run(t, c)
-	if c.Stats().BlockBuilds == 0 {
+	if c.TierStats().BlockBuilds == 0 {
 		t.Fatal("no blocks built")
 	}
 
@@ -319,7 +313,7 @@ func TestSuperblockToggleMidRun(t *testing.T) {
 	// A second run reaches block steady state (the entry pc's block
 	// forms only once its line is resident).
 	rerun()
-	builds := c.Stats().BlockBuilds
+	builds := c.TierStats().BlockBuilds
 	r3 := c.Reg(3)
 
 	c.SetSuperblocks(false)
@@ -333,8 +327,8 @@ func TestSuperblockToggleMidRun(t *testing.T) {
 	if c.Reg(3) != r3 {
 		t.Errorf("r3 = %d after re-enable, want %d", c.Reg(3), r3)
 	}
-	if c.Stats().BlockBuilds != builds {
+	if c.TierStats().BlockBuilds != builds {
 		t.Errorf("BlockBuilds = %d after re-enable, want %d (blocks reused, not rebuilt)",
-			c.Stats().BlockBuilds, builds)
+			c.TierStats().BlockBuilds, builds)
 	}
 }

@@ -211,7 +211,6 @@ var injectedWorkloads = []injectedWorkload{
 type injectedOutcome struct {
 	setupCycles uint64 // CPU cycles once the first commit is done
 	state       cpu.State
-	stats       cpu.Stats // with the tier counters (Block*, Decode*) zeroed
 	blockInsts  uint64
 	pages       []mem.PageState
 	memStats    mem.Stats
@@ -255,10 +254,7 @@ func runInjected(t *testing.T, w injectedWorkload, plan *faultinject.Plan) injec
 		}
 	}
 	out.state = c.ExportState()
-	out.stats = out.state.Stats
-	out.blockInsts = out.stats.BlockInsts
-	out.stats.BlockBuilds, out.stats.BlockHits, out.stats.BlockInsts, out.stats.BlockInvalidates = 0, 0, 0, 0
-	out.stats.DecodeHits, out.stats.DecodeMisses = 0, 0
+	out.blockInsts = c.TierStats().BlockInsts
 	out.pages = m.Mem.ExportPages()
 	out.memStats = m.Mem.Stats
 	out.console = string(m.Console())
@@ -342,8 +338,8 @@ func compareInjected(t *testing.T, name string, want, got injectedOutcome) {
 		t.Errorf("%s: architectural state differs: cycles %d vs %d, pc %#x vs %#x",
 			name, ws.Cycles, gs.Cycles, ws.PC, gs.PC)
 	}
-	if want.stats != got.stats {
-		t.Errorf("%s: stats differ:\nwant: %+v\ngot:  %+v", name, want.stats, got.stats)
+	if ws.Stats != gs.Stats {
+		t.Errorf("%s: stats differ:\nwant: %+v\ngot:  %+v", name, ws.Stats, gs.Stats)
 	}
 	if !reflect.DeepEqual(want.pages, got.pages) {
 		t.Errorf("%s: memory differs", name)

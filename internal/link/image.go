@@ -2,6 +2,7 @@ package link
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -80,16 +81,18 @@ func ReadImage(in io.Reader) (*Image, error) {
 			err = fmt.Errorf("link: implausible length %d", n)
 			return nil
 		}
-		b := make([]byte, n)
-		_, err = io.ReadFull(r, b)
-		return b
+		// The buffer grows only as bytes arrive, so a corrupt
+		// length costs no more memory than the input holds.
+		var buf bytes.Buffer
+		_, err = io.CopyN(&buf, r, int64(n))
+		return buf.Bytes()
 	}
 	u64 := func() uint64 {
-		b := get(8)
-		if err != nil {
-			return 0
+		var b [8]byte
+		if err == nil {
+			_, err = io.ReadFull(r, b[:])
 		}
-		return binary.LittleEndian.Uint64(b)
+		return binary.LittleEndian.Uint64(b[:])
 	}
 	str := func() string { return string(get(u64())) }
 

@@ -186,11 +186,22 @@ func New(img *link.Image, opts ...Option) (*Machine, error) {
 // threads are aggregated without re-registration.
 func (m *Machine) CPUs() []*cpu.CPU { return m.cpus }
 
-// TotalStats sums the execution statistics of every hardware thread.
+// TotalStats sums the simulated execution statistics of every
+// hardware thread.
 func (m *Machine) TotalStats() cpu.Stats {
 	var total cpu.Stats
 	for _, c := range m.cpus {
 		total = total.Add(c.Stats())
+	}
+	return total
+}
+
+// TotalTierStats sums the interpreter-tier statistics of every
+// hardware thread.
+func (m *Machine) TotalTierStats() cpu.TierStats {
+	var total cpu.TierStats
+	for _, c := range m.cpus {
+		total = total.Add(c.TierStats())
 	}
 	return total
 }

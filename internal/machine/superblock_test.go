@@ -57,7 +57,7 @@ func TestTextPokeInvalidatesSuperblocks(t *testing.T) {
 		}
 	}
 	for i, c := range m.CPUs() {
-		if c.Stats().BlockBuilds == 0 {
+		if c.TierStats().BlockBuilds == 0 {
 			t.Fatalf("cpu %d built no superblocks on the spin loop", i)
 		}
 	}
@@ -72,7 +72,7 @@ func TestTextPokeInvalidatesSuperblocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range m.CPUs() {
-		if c.Stats().BlockInvalidates == 0 {
+		if c.TierStats().BlockInvalidates == 0 {
 			t.Errorf("cpu %d: TextPoke invalidated no superblocks", i)
 		}
 	}
@@ -116,10 +116,7 @@ func TestInterleaveSuperblockInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats := m.TotalStats()
-		stats.DecodeHits, stats.DecodeMisses = 0, 0
-		stats.BlockBuilds, stats.BlockHits, stats.BlockInsts, stats.BlockInvalidates = 0, 0, 0, 0
-		return steps, m.CPU.Cycles() + extra.Cycles(), stats
+		return steps, m.CPU.Cycles() + extra.Cycles(), m.TotalStats()
 	}
 	onSteps, onCycles, onStats := runOnce(true)
 	offSteps, offCycles, offStats := runOnce(false)

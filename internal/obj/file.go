@@ -2,6 +2,7 @@ package obj
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -51,17 +52,19 @@ func (r *reader) bytes(n uint64) []byte {
 		r.err = fmt.Errorf("obj: implausible length %d", n)
 		return nil
 	}
-	b := make([]byte, n)
-	_, r.err = io.ReadFull(r.r, b)
-	return b
+	// The buffer grows only as bytes arrive, so a corrupt length
+	// costs no more memory than the input holds.
+	var buf bytes.Buffer
+	_, r.err = io.CopyN(&buf, r.r, int64(n))
+	return buf.Bytes()
 }
 
 func (r *reader) u64() uint64 {
-	b := r.bytes(8)
-	if r.err != nil {
-		return 0
+	var b [8]byte
+	if r.err == nil {
+		_, r.err = io.ReadFull(r.r, b[:])
 	}
-	return binary.LittleEndian.Uint64(b)
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 func (r *reader) str() string { return string(r.bytes(r.u64())) }

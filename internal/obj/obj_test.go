@@ -2,7 +2,9 @@ package obj
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -138,6 +140,23 @@ func TestReadRejectsTruncated(t *testing.T) {
 		if _, err := Read(bytes.NewReader(full[:n])); err == nil {
 			t.Errorf("truncation at %d accepted", n)
 		}
+	}
+}
+
+// TestReadTruncatedLengthAllocatesLittle: an object whose name
+// declares 1 GiB but ends after the length must fail without
+// allocating anything near the declared length.
+func TestReadTruncatedLengthAllocatesLittle(t *testing.T) {
+	in := binary.LittleEndian.AppendUint64(append([]byte(nil), objMagic[:]...), 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a name longer than the input")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading a %d-byte object allocated %d bytes", len(in), grew)
 	}
 }
 

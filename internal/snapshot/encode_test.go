@@ -14,8 +14,8 @@ import (
 // compiler change that moves the encoding must update these together
 // with Version where the format itself changed.
 const (
-	goldenEncodeLen    = 289993
-	goldenEncodeSHA256 = "1b90bc19d454ad9128218dd3c1812e04d9ac071da0e64fced3e82a976c1ba072"
+	goldenEncodeLen    = 289911
+	goldenEncodeSHA256 = "3f100ec9e165acbcbc0eea0f9ec63b9d36c8ce1e27a9191315d7e1f2a97c6612"
 )
 
 func warmSnapshot(t *testing.T) (*sys, *Snapshot) {

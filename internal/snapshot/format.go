@@ -4,17 +4,19 @@
 //
 //	offset  size  field
 //	0       8     magic "MVSNAP01"
-//	8       4     format version (currently 1)
+//	8       4     format version (currently 2)
 //	12      4     flags (must be zero)
 //	16      8     payload length
 //	24      n     payload
 //	24+n    4     CRC-32 (IEEE) of the payload
 //
-// The payload is a flat, deterministic serialization of the machine
-// state: no maps are walked in iteration order (every exporter sorts),
-// no pointers, no timestamps. Two snapshots of identical machine state
-// are byte-equal, which is what makes Digest — the SHA-256 of the
-// payload — a meaningful identity for a simulated machine instant.
+// The payload is a flat, deterministic serialization of the simulated
+// machine state: no maps are walked in iteration order (every exporter
+// sorts), no pointers, no timestamps, and no host-side interpreter
+// state (an icache line is its PN, write-version and page bytes). Two
+// snapshots of identical machine state are byte-equal, which is what
+// makes Digest — the SHA-256 of the payload — a meaningful identity
+// for a simulated machine instant.
 //
 // Decoding is defensive end to end: the CRC is verified before any
 // parsing, every length is bounds-checked against the remaining
@@ -32,8 +34,9 @@ import (
 	"hash/crc32"
 )
 
-// Version is the current snapshot format version.
-const Version = 1
+// Version is the current snapshot format version; Decode refuses any
+// other.
+const Version = 2
 
 var magic = [8]byte{'M', 'V', 'S', 'N', 'A', 'P', '0', '1'}
 
@@ -114,14 +117,6 @@ func (w *writer) u8(v uint8) {
 	w.b = append(w.b, v)
 }
 
-func (w *writer) u16(v uint16) {
-	if w.sizing {
-		w.n += 2
-		return
-	}
-	w.b = binary.LittleEndian.AppendUint16(w.b, v)
-}
-
 func (w *writer) u32(v uint32) {
 	if w.sizing {
 		w.n += 4
@@ -196,14 +191,6 @@ func (r *reader) u8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 
 func (r *reader) u32() uint32 {

@@ -1,16 +1,22 @@
 // Package snapshot serializes complete simulated-machine state —
 // memory pages with protections and write-versions, per-CPU
-// architectural and microarchitectural state (including resident
-// icache lines and their derived-cache offsets), the console, and the
-// runtime's binding/deferred/span state — into a versioned,
-// CRC-protected binary container.
+// architectural and microarchitectural state (including the byte
+// snapshots of resident icache lines), the console, and the runtime's
+// binding/deferred/span state — into a versioned, CRC-protected binary
+// container.
+//
+// Only simulated state is serialized. Host-side interpreter state —
+// the decoded instructions and superblocks cached on icache lines,
+// whether a CPU runs superblocks, and the tier counters (cpu.TierStats)
+// — stays with the machine that built it, so the digest of a machine
+// instant is the same whichever tier produced it.
 //
 // The format is deterministic: capturing the same simulated instant
 // twice yields byte-identical files, so Digest (SHA-256 of the
 // payload) identifies a machine state. Restoring a snapshot and
-// running to completion retires bit-identical cycles, statistics and
-// state reports as the uninterrupted run — the property the
-// checkpoint/restore difftests pin and the time-travel debugger
+// running to completion retires bit-identical cycles, simulated
+// statistics and state reports as the uninterrupted run — the property
+// the checkpoint/restore difftests pin and the time-travel debugger
 // (cmd/mvdbg) is built on.
 package snapshot
 
@@ -249,8 +255,6 @@ func putCPU(w *writer, s *cpu.State) {
 		w.u64(v)
 	}
 	w.u64(uint64(s.RASN))
-	w.u8(1) // reserved: the retired decode-cache flag, always on
-	putBool(w, s.Superblocks)
 	w.u8(s.Mode)
 	putBool(w, s.IntrOn)
 	w.u64(s.IntrPeriod)
@@ -262,9 +266,6 @@ func putCPU(w *writer, s *cpu.State) {
 		w.u64(ls.PN)
 		w.u64(ls.Version)
 		w.bytes(ls.Bytes)
-		putU16s(w, ls.Decoded)
-		putU16s(w, ls.SBHeads)
-		putU16s(w, ls.SBRject)
 	}
 	putCounters(w, &s.Stats)
 }
@@ -291,24 +292,13 @@ func getCPU(r *reader, s *cpu.State) {
 		s.RAS = append(s.RAS, r.u64())
 	}
 	s.RASN = int(r.u64())
-	// Reserved: the retired decode-cache flag. Its value carries no
-	// state, but only the byte Encode writes is accepted, so every
-	// accepted encoding stays canonical.
-	if v := r.u8(); v != 1 && r.err == nil {
-		r.fail("reserved byte at offset %d is %d, want 1", r.off-1, v)
-	}
-	s.Superblocks = getBool(r)
 	s.Mode = r.u8()
 	s.IntrOn = getBool(r)
 	s.IntrPeriod = r.u64()
 	s.IntrCost = r.u64()
 	s.NextIntr = r.u64()
 	for i, n := 0, r.count(8+8+4); i < n && r.err == nil; i++ {
-		ls := cpu.ICLineState{PN: r.u64(), Version: r.u64(), Bytes: r.bytes()}
-		ls.Decoded = getU16s(r)
-		ls.SBHeads = getU16s(r)
-		ls.SBRject = getU16s(r)
-		s.ICache = append(s.ICache, ls)
+		s.ICache = append(s.ICache, cpu.ICLineState{PN: r.u64(), Version: r.u64(), Bytes: r.bytes()})
 	}
 	getCounters(r, &s.Stats)
 }
@@ -357,25 +347,6 @@ func getRuntime(r *reader, s *core.RuntimeState) {
 	}
 	getCounters(r, &s.Stats)
 	s.OpSeq = r.u64()
-}
-
-func putU16s(w *writer, v []uint16) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.u16(x)
-	}
-}
-
-func getU16s(r *reader) []uint16 {
-	n := r.count(2)
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint16, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.u16())
-	}
-	return out
 }
 
 func putBool(w *writer, v bool) {

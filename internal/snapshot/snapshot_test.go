@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -286,6 +288,13 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(append(append([]byte(nil), data...), 0xee)); err == nil {
 		t.Error("decoded snapshot with trailing garbage")
 	}
+	// A version-1 container, which also carried interpreter-tier
+	// state, is refused by its header alone.
+	v1 := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	if _, err := Decode(v1); err == nil || !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Errorf("decoding a version-1 container: err = %v, want unsupported format version 1", err)
+	}
 }
 
 func FuzzSnapshotDecode(f *testing.F) {
@@ -315,8 +324,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if !bytes.Equal(got.Encode(), data) {
 			t.Fatal("accepted a non-canonical encoding")
 		}
-		// Rebuilding icache lines from accepted CPU states may refuse
-		// them but must never panic.
+		// Importing accepted CPU states may refuse them (a short or
+		// repeated icache line) but must never panic.
 		for _, cs := range got.CPUs {
 			_ = cpu.New(s.Machine.Mem, cpu.DefaultConfig()).ImportState(cs)
 		}
