@@ -9,9 +9,12 @@
 //	        [-storm every] [-chaos] [-kill-rate r] [-fault-points n]
 //	        [-mode parked|stop-machine|text-poke] [-active-storms]
 //	        [-metrics-addr :9090] [-metrics-out file] [-json] [-v]
+//	        [-cpuprofile file] [-memprofile file]
 //
 // Every run is bit-reproducible for a given seed: the load, the
 // storms, the kill schedule and the migrations all derive from it.
+// -cpuprofile and -memprofile write runtime/pprof profiles of building
+// and running the fleet (`go tool pprof`); they change no result.
 package main
 
 import (
@@ -21,6 +24,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -43,6 +48,8 @@ var (
 	metricsOut = flag.String("metrics-out", "", "write a JSON metrics snapshot to this file")
 	jsonOut    = flag.Bool("json", false, "print the full result as JSON")
 	verbose    = flag.Bool("v", false, "print per-machine results")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of building and running the fleet to this file")
+	memProfile = flag.String("memprofile", "", "write a heap profile to this file after the run")
 )
 
 func main() {
@@ -78,11 +85,7 @@ func run() error {
 		KillRate:     *killRate,
 		FaultPoints:  *faultPts,
 	}
-	fl, err := fleet.New(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := fl.Run()
+	fl, res, err := runFleet(cfg)
 	if err != nil {
 		return err
 	}
@@ -144,6 +147,49 @@ func run() error {
 		return fmt.Errorf("request loss: served %d of %d scheduled", res.Served, res.Scheduled)
 	}
 	return nil
+}
+
+// runFleet builds and runs the fleet, under the CPU profiler when
+// -cpuprofile is set, and writes a heap profile after the run when
+// -memprofile is set.
+func runFleet(cfg fleet.Config) (fl *fleet.Fleet, res *fleet.Result, err error) {
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if fl, err = fleet.New(cfg); err != nil {
+		return nil, nil, err
+	}
+	if res, err = fl.Run(); err != nil {
+		return nil, nil, err
+	}
+	if *memProfile != "" {
+		f, err := os.Create(*memProfile)
+		if err != nil {
+			return nil, nil, err
+		}
+		runtime.GC() // the profile reflects the heap as the run leaves it
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return fl, res, nil
 }
 
 func printSummary(res *fleet.Result) {

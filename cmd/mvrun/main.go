@@ -300,12 +300,8 @@ func run(path string) (err error) {
 		if aerr := snapshot.Apply(snap, m, rt); aerr != nil {
 			return fmt.Errorf("restore %s: %w", *restorePath, aerr)
 		}
-		digest, derr := snapshot.Digest(snap.Encode())
-		if derr != nil {
-			return derr
-		}
 		fmt.Fprintf(os.Stderr, "mvrun: restored %s: cycle %d, %d CPU(s), digest %s\n",
-			*restorePath, snap.SimCycles, len(snap.CPUs), digest)
+			*restorePath, snap.SimCycles, len(snap.CPUs), snap.Digest())
 		if reg != nil {
 			// The cycle counter resumes at the checkpoint, not 0; stamp
 			// the base so samplers and mvtop label the first window's

@@ -199,7 +199,7 @@ func (s *Session) Digest() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return snapshot.Digest(snap.Encode())
+	return snap.Digest(), nil
 }
 
 func (s *Session) keyframe(pos int) error {

@@ -103,3 +103,44 @@ func TestCheckpointBacksRepeatedRestores(t *testing.T) {
 		t.Fatalf("replay from the decoded checkpoint: digest %s, want %s", got, want)
 	}
 }
+
+// TestReportDigestsMatchSerialCapture: the final report captures and
+// digests each shard's members on the shard goroutines with the
+// streaming digest. Every reported digest must equal a serial capture
+// of the same member digested through its encoding.
+func TestReportDigestsMatchSerialCapture(t *testing.T) {
+	fl, err := New(Config{Seed: 5, Shards: 3, Machines: 12, Rounds: 10, Chaos: true, KillRate: 70, FaultPoints: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kills == 0 {
+		t.Fatal("chaos run scheduled no kills; raise KillRate")
+	}
+	byID := map[int]*member{}
+	for _, sh := range fl.shards {
+		for _, mb := range sh.members {
+			byID[mb.id] = mb
+		}
+	}
+	checked := 0
+	for _, mr := range res.Machines {
+		mb := byID[mr.ID]
+		if mb == nil || mb.m == nil || mb.state == stateFailed {
+			if mr.Digest != "" {
+				t.Errorf("machine %d has no live machine, or failed, yet reports digest %s", mr.ID, mr.Digest)
+			}
+			continue
+		}
+		if want := liveDigest(t, mb.m, mb.rt); mr.Digest != want {
+			t.Errorf("machine %d (shard %d): reported digest %s, serial capture %s", mr.ID, mr.Shard, mr.Digest, want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no machine survived to be checked")
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/link"
 	"repro/internal/metrics"
-	"repro/internal/snapshot"
 )
 
 // Config sizes and seeds a fleet run. The zero value is not usable;
@@ -256,12 +255,19 @@ func (fl *Fleet) Run() (*Result, error) {
 }
 
 func (fl *Fleet) stepShards(r int) {
+	fl.eachShard(func(sh *shard) { sh.runRound(r) })
+}
+
+// eachShard runs f on every shard, each on its own goroutine, and
+// returns when all have finished: the round barrier. f may touch only
+// its own shard.
+func (fl *Fleet) eachShard(f func(sh *shard)) {
 	var wg sync.WaitGroup
 	for _, sh := range fl.shards {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			sh.runRound(r)
+			f(sh)
 		}(sh)
 	}
 	wg.Wait()
@@ -440,7 +446,30 @@ type Result struct {
 }
 
 // report drives the final capture of every machine and aggregates.
+// Each shard captures and digests its own members on its own
+// goroutine, behind the same barrier as a round; the coordinator then
+// assembles the result in shard and member order, so the result and
+// the error returned (the first in that order) do not depend on which
+// shard finishes first.
 func (fl *Fleet) report() (*Result, error) {
+	machines := make([][]MachineResult, len(fl.shards))
+	errs := make([]error, len(fl.shards))
+	fl.eachShard(func(sh *shard) {
+		out := make([]MachineResult, len(sh.members))
+		for i, mb := range sh.members {
+			var err error
+			if out[i], err = mb.result(); err != nil {
+				errs[sh.idx] = err
+				return
+			}
+		}
+		machines[sh.idx] = out
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	res := &Result{}
 	for _, sh := range fl.shards {
 		sr := ShardResult{
@@ -457,37 +486,14 @@ func (fl *Fleet) report() (*Result, error) {
 		if sh.cycles > 0 {
 			sr.Throughput = float64(sr.Requests) / (float64(sh.cycles) / 1000)
 		}
-		for _, mb := range sh.members {
-			mr := MachineResult{
-				ID:       mb.id,
-				Shard:    sh.idx,
-				State:    mb.state.String(),
-				Restarts: mb.restarts,
-				Kills:    mb.killsTaken,
-				Parked:   mb.parked,
-			}
+		for i, mb := range sh.members {
 			if mb.parked && mb.state != stateFailed {
 				sr.Degraded++
 			}
 			if mb.state == stateFailed {
 				res.Failed++
-			} else if mb.m != nil {
-				var err error
-				if mr.Requests, err = mb.m.ReadGlobal("requests", 8); err != nil {
-					return nil, fmt.Errorf("fleet: machine %d requests: %w", mb.id, err)
-				}
-				if mr.Checksum, err = mb.m.ReadGlobal("checksum", 8); err != nil {
-					return nil, fmt.Errorf("fleet: machine %d checksum: %w", mb.id, err)
-				}
-				snap, err := snapshot.Capture(mb.m, mb.rt)
-				if err != nil {
-					return nil, fmt.Errorf("fleet: machine %d final capture: %w", mb.id, err)
-				}
-				if mr.Digest, err = snapshot.Digest(snap.Encode()); err != nil {
-					return nil, fmt.Errorf("fleet: machine %d digest: %w", mb.id, err)
-				}
 			}
-			res.Machines = append(res.Machines, mr)
+			res.Machines = append(res.Machines, machines[sh.idx][i])
 		}
 		res.Shards = append(res.Shards, sr)
 		res.Requests += sr.Requests

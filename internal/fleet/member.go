@@ -458,6 +458,37 @@ func (mb *member) checkpoint(round int) error {
 	return nil
 }
 
+// result is the member's deterministic endpoint for the run report:
+// its tallies and, unless it failed, its guest counters and the digest
+// of a final capture. The snapshot is dropped as soon as it is
+// digested. It runs on the member's shard goroutine.
+func (mb *member) result() (MachineResult, error) {
+	mr := MachineResult{
+		ID:       mb.id,
+		Shard:    mb.sh.idx,
+		State:    mb.state.String(),
+		Restarts: mb.restarts,
+		Kills:    mb.killsTaken,
+		Parked:   mb.parked,
+	}
+	if mb.state == stateFailed || mb.m == nil {
+		return mr, nil
+	}
+	var err error
+	if mr.Requests, err = mb.m.ReadGlobal("requests", 8); err != nil {
+		return mr, fmt.Errorf("fleet: machine %d requests: %w", mb.id, err)
+	}
+	if mr.Checksum, err = mb.m.ReadGlobal("checksum", 8); err != nil {
+		return mr, fmt.Errorf("fleet: machine %d checksum: %w", mb.id, err)
+	}
+	snap, err := snapshot.Capture(mb.m, mb.rt)
+	if err != nil {
+		return mr, fmt.Errorf("fleet: machine %d final capture: %w", mb.id, err)
+	}
+	mr.Digest = snap.Digest()
+	return mr, nil
+}
+
 // stormThenDie models a power cut mid-commit: the storm's switch
 // writes land, the commit starts (consuming whatever fault points it
 // trips), and the machine dies before anyone can observe the outcome.

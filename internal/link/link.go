@@ -9,8 +9,10 @@
 package link
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -63,6 +65,38 @@ type Image struct {
 	// HaltAddr is the address of the synthesized HLT stub. A harness
 	// calls a function by pushing HaltAddr as the return address.
 	HaltAddr uint64
+
+	// sum memoizes Sum. An image is immutable once Link or ReadImage
+	// returns it, so the hash is computed once, on first use.
+	sumOnce sync.Once
+	sum     [32]byte
+}
+
+// Sum is the image's identity: the SHA-256 of its entry point, halt
+// stub and every segment's address, protection and bytes, serialized
+// as little-endian u64 Entry, u64 HaltAddr, u32 segment count, then per
+// segment u64 Addr, u8 Prot, u32 length and the data. Snapshots embed
+// it and refuse to restore onto a machine loaded from another image.
+// It is computed once per image and is safe for concurrent use.
+func (img *Image) Sum() [32]byte {
+	img.sumOnce.Do(func() {
+		h := sha256.New()
+		var buf [8 + 8 + 4]byte
+		le := binary.LittleEndian
+		le.PutUint64(buf[0:], img.Entry)
+		le.PutUint64(buf[8:], img.HaltAddr)
+		le.PutUint32(buf[16:], uint32(len(img.Segments)))
+		h.Write(buf[:20])
+		for _, seg := range img.Segments {
+			le.PutUint64(buf[0:], seg.Addr)
+			buf[8] = uint8(seg.Prot)
+			le.PutUint32(buf[9:], uint32(len(seg.Data)))
+			h.Write(buf[:13])
+			h.Write(seg.Data)
+		}
+		h.Sum(img.sum[:0])
+	})
+	return img.sum
 }
 
 // SymbolAt returns the name of the symbol covering addr, if any.

@@ -9,7 +9,7 @@
 //
 // A Memory memoizes its most recent page lookup (lastPN/lastPg): the
 // runtime's commit path touches the same few text pages about ten times
-// per call site, and the memo turns those map lookups into one
+// per call site, and the memo turns those page-list searches into one
 // comparison. The memo is host state only — never serialized, no
 // simulated effect — and is cleared wherever a page leaves the address
 // space (Unmap, ImportPages). Because even reads update it, a Memory is
@@ -18,7 +18,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -158,7 +158,10 @@ type Injector interface {
 
 // Memory is a sparse paged address space.
 type Memory struct {
-	pages map[uint64]*page // keyed by page number (addr >> PageShift)
+	// pages holds the mapped pages in ascending page-number order
+	// (addr >> PageShift), so the ordered walks (ExportPages, Regions)
+	// need neither a map nor a sort; lookup binary-searches it.
+	pages []pageRef
 
 	// lastPN/lastPg memoize the most recent successful page lookup;
 	// lastPg is nil when the memo is empty. See lookup.
@@ -181,21 +184,52 @@ type Memory struct {
 	Inject Injector
 }
 
-// New returns an empty address space.
-func New() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
+// pageRef is one entry of Memory.pages.
+type pageRef struct {
+	pn uint64
+	pg *page
 }
 
-// lookup returns the page with number pn, through the one-entry memo.
-func (m *Memory) lookup(pn uint64) (*page, bool) {
+// New returns an empty address space.
+func New() *Memory {
+	return &Memory{}
+}
+
+// find returns the index of page pn in m.pages and whether it is
+// mapped; when it is not, the index is where it would be inserted.
+func (m *Memory) find(pn uint64) (int, bool) {
+	lo, hi := 0, len(m.pages)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.pages[mid].pn < pn {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(m.pages) && m.pages[lo].pn == pn
+}
+
+// lookup returns the page with number pn, or nil when pn is not
+// mapped, through the one-entry memo. It stays small enough to inline,
+// so a memo hit costs no call.
+func (m *Memory) lookup(pn uint64) *page {
 	if m.lastPg != nil && m.lastPN == pn {
-		return m.lastPg, true
+		return m.lastPg
 	}
-	pg, ok := m.pages[pn]
-	if ok {
-		m.lastPN, m.lastPg = pn, pg
+	return m.search(pn)
+}
+
+// search is lookup's memo miss: it finds pn in the page list and
+// memoizes it.
+func (m *Memory) search(pn uint64) *page {
+	i, ok := m.find(pn)
+	if !ok {
+		return nil
 	}
-	return pg, ok
+	pg := m.pages[i].pg
+	m.lastPN, m.lastPg = pn, pg
+	return pg
 }
 
 // wraps reports whether the nonempty range [addr, addr+length) runs
@@ -227,13 +261,15 @@ func (m *Memory) Map(addr, length uint64, prot Prot) error {
 	}
 	first := addr >> PageShift
 	n := length >> PageShift
-	for i := uint64(0); i < n; i++ {
-		if _, ok := m.pages[first+i]; ok {
-			return fmt.Errorf("mem: Map(%#x, %#x) overlaps existing mapping at %#x", addr, length, (first+i)<<PageShift)
-		}
+	// The first mapped page at or above first is the lowest one the
+	// range would overlap; with none, the range fills one gap.
+	at, _ := m.find(first)
+	if at < len(m.pages) && m.pages[at].pn-first < n {
+		return fmt.Errorf("mem: Map(%#x, %#x) overlaps existing mapping at %#x", addr, length, m.pages[at].pn<<PageShift)
 	}
+	m.pages = slices.Insert(m.pages, at, make([]pageRef, n)...)
 	for i := uint64(0); i < n; i++ {
-		m.pages[first+i] = &page{data: zeroPage[:], prot: prot, shared: true}
+		m.pages[at+int(i)] = pageRef{pn: first + i, pg: &page{data: zeroPage[:], prot: prot, shared: true}}
 	}
 	return nil
 }
@@ -253,15 +289,16 @@ func (m *Memory) Unmap(addr, length uint64) error {
 	}
 	first := addr >> PageShift
 	n := length >> PageShift
+	// The range is fully mapped iff its pages are the n entries from
+	// first's position on.
+	at, _ := m.find(first)
 	for i := uint64(0); i < n; i++ {
-		if _, ok := m.pages[first+i]; !ok {
+		if j := at + int(i); j >= len(m.pages) || m.pages[j].pn != first+i {
 			return fmt.Errorf("mem: Unmap(%#x, %#x): %w", addr, length,
 				&Fault{Addr: (first + i) << PageShift, Kind: AccessWrite})
 		}
 	}
-	for i := uint64(0); i < n; i++ {
-		delete(m.pages, first+i)
-	}
+	m.pages = slices.Delete(m.pages, at, at+int(n))
 	m.lastPg = nil
 	return nil
 }
@@ -285,7 +322,7 @@ func (m *Memory) Protect(addr, length uint64, prot Prot) error {
 	first := addr >> PageShift
 	last := (addr + length - 1) >> PageShift
 	for pn := first; pn <= last; pn++ {
-		if _, ok := m.lookup(pn); !ok {
+		if m.lookup(pn) == nil {
 			return fmt.Errorf("mem: Protect(%#x, %#x): %w", addr, length,
 				&Fault{Addr: pn << PageShift, Kind: AccessWrite})
 		}
@@ -298,11 +335,9 @@ func (m *Memory) Protect(addr, length uint64, prot Prot) error {
 			return err
 		}
 	}
-	pg, _ := m.lookup(first)
-	old := pg.prot
+	old := m.lookup(first).prot
 	for pn := first; pn <= last; pn++ {
-		pg, _ = m.lookup(pn)
-		pg.prot = prot
+		m.lookup(pn).prot = prot
 	}
 	m.Stats.ProtectCalls++
 	if m.Tracer != nil {
@@ -313,8 +348,8 @@ func (m *Memory) Protect(addr, length uint64, prot Prot) error {
 
 // ProtOf returns the protection of the page containing addr.
 func (m *Memory) ProtOf(addr uint64) (Prot, bool) {
-	p, ok := m.lookup(addr >> PageShift)
-	if !ok {
+	p := m.lookup(addr >> PageShift)
+	if p == nil {
 		return 0, false
 	}
 	return p.prot, true
@@ -324,17 +359,17 @@ func (m *Memory) ProtOf(addr uint64) (Prot, bool) {
 // addr. It is incremented on every store to the page; the CPU's
 // instruction cache uses it to detect (un)flushed code modification.
 func (m *Memory) PageVersion(addr uint64) (uint64, bool) {
-	p, ok := m.lookup(addr >> PageShift)
-	if !ok {
+	p := m.lookup(addr >> PageShift)
+	if p == nil {
 		return 0, false
 	}
 	return p.version, true
 }
 
 func (m *Memory) fault(addr uint64, kind AccessKind) error {
-	p, ok := m.lookup(addr >> PageShift)
-	f := &Fault{Addr: addr, Kind: kind, Mapped: ok}
-	if ok {
+	p := m.lookup(addr >> PageShift)
+	f := &Fault{Addr: addr, Kind: kind, Mapped: p != nil}
+	if p != nil {
 		f.Prot = p.prot
 	}
 	return f
@@ -347,8 +382,8 @@ func (m *Memory) access(addr uint64, n int, kind AccessKind, need Prot, f func(p
 		return nil
 	}
 	for n > 0 {
-		pg, ok := m.lookup(addr >> PageShift)
-		if !ok || pg.prot&need != need {
+		pg := m.lookup(addr >> PageShift)
+		if pg == nil || pg.prot&need != need {
 			return m.fault(addr, kind)
 		}
 		off := int(addr & (PageSize - 1))
@@ -484,25 +519,16 @@ type Region struct {
 // Regions returns the mapped regions in address order, coalescing
 // adjacent pages with equal protection.
 func (m *Memory) Regions() []Region {
-	if len(m.pages) == 0 {
-		return nil
-	}
-	nums := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
-		nums = append(nums, pn)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	var out []Region
-	for _, pn := range nums {
-		p := m.pages[pn]
+	for _, r := range m.pages {
 		if n := len(out); n > 0 {
 			prev := &out[n-1]
-			if prev.Addr+prev.Len == pn<<PageShift && prev.Prot == p.prot {
+			if prev.Addr+prev.Len == r.pn<<PageShift && prev.Prot == r.pg.prot {
 				prev.Len += PageSize
 				continue
 			}
 		}
-		out = append(out, Region{Addr: pn << PageShift, Len: PageSize, Prot: p.prot})
+		out = append(out, Region{Addr: r.pn << PageShift, Len: PageSize, Prot: r.pg.prot})
 	}
 	return out
 }

@@ -14,8 +14,9 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PageState is one exported page.
@@ -33,21 +34,15 @@ type PageState struct {
 // slice header per page, not a page copy. Data is read-only — writing
 // through it would change every memory and export that shares it.
 func (m *Memory) ExportPages() []PageState {
-	pns := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	out := make([]PageState, 0, len(pns))
-	for _, pn := range pns {
-		p := m.pages[pn]
-		p.shared = true
-		out = append(out, PageState{
-			PN:      pn,
-			Prot:    p.prot,
-			Version: p.version,
-			Data:    p.data,
-		})
+	out := make([]PageState, len(m.pages))
+	for i, r := range m.pages {
+		r.pg.shared = true
+		out[i] = PageState{
+			PN:      r.pn,
+			Prot:    r.pg.prot,
+			Version: r.pg.version,
+			Data:    r.pg.data,
+		}
 	}
 	return out
 }
@@ -61,23 +56,28 @@ func (m *Memory) ExportPages() []PageState {
 // page before its first store. Stats and policy flags are left
 // untouched; the snapshot layer restores Stats separately.
 func (m *Memory) ImportPages(pages []PageState) error {
-	fresh := make(map[uint64]*page, len(pages))
+	fresh := make([]pageRef, len(pages))
 	for i := range pages {
 		ps := &pages[i]
 		if len(ps.Data) != PageSize {
 			return fmt.Errorf("mem: page %#x holds %d bytes, want %d", ps.PN, len(ps.Data), PageSize)
 		}
-		if _, dup := fresh[ps.PN]; dup {
-			return fmt.Errorf("mem: duplicate page %#x in import", ps.PN)
-		}
 		if err := m.checkWX(ps.Prot); err != nil {
 			return fmt.Errorf("mem: page %#x: %w", ps.PN, err)
 		}
-		fresh[ps.PN] = &page{
+		fresh[i] = pageRef{pn: ps.PN, pg: &page{
 			data:    ps.Data,
 			prot:    ps.Prot,
 			version: ps.Version,
 			shared:  true,
+		}}
+	}
+	// Pages from an export arrive in order; the sort only checks that
+	// (in linear time) unless they were reordered.
+	slices.SortFunc(fresh, func(a, b pageRef) int { return cmp.Compare(a.pn, b.pn) })
+	for i := 1; i < len(fresh); i++ {
+		if fresh[i].pn == fresh[i-1].pn {
+			return fmt.Errorf("mem: duplicate page %#x in import", fresh[i].pn)
 		}
 	}
 	m.pages = fresh

@@ -18,7 +18,7 @@ const (
 	goldenEncodeSHA256 = "3f100ec9e165acbcbc0eea0f9ec63b9d36c8ce1e27a9191315d7e1f2a97c6612"
 )
 
-func warmSnapshot(t *testing.T) (*sys, *Snapshot) {
+func warmSnapshot(t testing.TB) (*sys, *Snapshot) {
 	t.Helper()
 	a, _ := buildPair(t)
 	a.warm(t)
@@ -52,7 +52,9 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 }
 
 // TestCaptureAllocsIndependentOfPages: Capture aliases memory pages
-// copy-on-write, so mapping more pages must not add allocations.
+// copy-on-write, so mapping more pages must not add allocations — nor
+// must unmapping some of them and mapping them again elsewhere, which
+// reorders the address space's page list.
 func TestCaptureAllocsIndependentOfPages(t *testing.T) {
 	a, snap := warmSnapshot(t)
 	capture := func() {
@@ -71,5 +73,26 @@ func TestCaptureAllocsIndependentOfPages(t *testing.T) {
 	if more := testing.AllocsPerRun(10, capture); more != base {
 		t.Fatalf("Capture allocates %v times with %d more pages mapped, %v before; want no per-page allocation",
 			more, extra, base)
+	}
+	const moved = extra / 4
+	if err := a.m.Mem.Unmap(1<<40, moved*mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.m.Mem.Map(1<<30, moved*mem.PageSize, mem.RW); err != nil {
+		t.Fatal(err)
+	}
+	if remapped := testing.AllocsPerRun(10, capture); remapped != base {
+		t.Fatalf("Capture allocates %v times after Unmap+Map of %d pages, %v before; want no per-page allocation",
+			remapped, moved, base)
+	}
+	snap, err := Capture(a.m, a.rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(snap.Pages); i++ {
+		if snap.Pages[i-1].PN >= snap.Pages[i].PN {
+			t.Fatalf("captured pages out of order after Unmap+Map: %#x then %#x",
+				snap.Pages[i-1].PN, snap.Pages[i].PN)
+		}
 	}
 }

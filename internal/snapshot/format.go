@@ -16,7 +16,9 @@
 // state (an icache line is its PN, write-version and page bytes). Two
 // snapshots of identical machine state are byte-equal, which is what
 // makes Digest — the SHA-256 of the payload — a meaningful identity
-// for a simulated machine instant.
+// for a simulated machine instant. (*Snapshot).Digest computes the
+// same hash by streaming the payload into SHA-256 as it is serialized,
+// without building the payload or the container.
 //
 // Decoding is defensive end to end: the CRC is verified before any
 // parsing, every length is bounds-checked against the remaining
@@ -31,6 +33,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"hash/crc32"
 )
 
@@ -91,6 +94,8 @@ func unseal(data []byte) ([]byte, error) {
 
 // Digest validates a serialized snapshot and returns the hex SHA-256
 // of its payload — the stable identity of the captured machine state.
+// A caller holding a *Snapshot rather than its bytes uses
+// (*Snapshot).Digest, which yields the same string without encoding.
 func Digest(data []byte) (string, error) {
 	payload, err := unseal(data)
 	if err != nil {
@@ -103,10 +108,28 @@ func Digest(data []byte) (string, error) {
 // writer builds a payload. Append-only, infallible. A sizing writer
 // only counts the bytes it would append: Encode runs its body once
 // sizing and once writing, so the output is allocated exactly once.
+//
+// A hashing writer (h non-nil) streams the payload into h instead of
+// keeping it. Byte runs of at least hashDirect bytes (page and icache
+// contents) go straight into h, uncopied, after the fields staged in b
+// before them; everything else is staged in b like an ordinary write.
+// b is reused after each flush, so it only needs to hold the fields
+// between two such runs. Digest runs the body this way.
 type writer struct {
 	b      []byte
 	sizing bool
-	n      int // bytes counted while sizing
+	n      int       // bytes counted while sizing
+	h      hash.Hash // non-nil: hashing writer
+}
+
+// hashDirect is the shortest byte run a hashing writer hands to the
+// hash directly rather than staging it; it is one SHA-256 block.
+const hashDirect = 64
+
+// flush hands the staged bytes of a hashing writer to the hash.
+func (w *writer) flush() {
+	w.h.Write(w.b)
+	w.b = w.b[:0]
 }
 
 func (w *writer) u8(v uint8) {
@@ -137,6 +160,11 @@ func (w *writer) u64(v uint64) {
 func (w *writer) raw(v []byte) {
 	if w.sizing {
 		w.n += len(v)
+		return
+	}
+	if w.h != nil && len(v) >= hashDirect {
+		w.flush()
+		w.h.Write(v)
 		return
 	}
 	w.b = append(w.b, v...)

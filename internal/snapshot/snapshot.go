@@ -22,13 +22,13 @@ package snapshot
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"reflect"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/link"
 	"repro/internal/machine"
 	"repro/internal/mem"
 )
@@ -40,9 +40,10 @@ type Snapshot struct {
 	// simulated instant this snapshot names.
 	SimCycles uint64
 
-	// ImageSum ties the snapshot to the loaded image (entry point,
-	// halt stub, and every segment's address, protection and bytes).
-	// Apply refuses a snapshot taken from a different image.
+	// ImageSum ties the snapshot to the loaded image: it is the
+	// image's link.Image.Sum (entry point, halt stub, and every
+	// segment's address, protection and bytes). Apply refuses a
+	// snapshot taken from a different image.
 	ImageSum [32]byte
 
 	Console  []byte
@@ -53,25 +54,6 @@ type Snapshot struct {
 	// Runtime is nil when the snapshot was captured without a
 	// multiverse runtime attached.
 	Runtime *core.RuntimeState
-}
-
-// ImageSum computes the image-identity hash Capture embeds and Apply
-// checks.
-func ImageSum(img *link.Image) [32]byte {
-	h := sha256.New()
-	var w writer
-	w.u64(img.Entry)
-	w.u64(img.HaltAddr)
-	w.u32(uint32(len(img.Segments)))
-	for _, seg := range img.Segments {
-		w.u64(seg.Addr)
-		w.u8(uint8(seg.Prot))
-		w.bytes(seg.Data)
-	}
-	h.Write(w.b)
-	var sum [32]byte
-	copy(sum[:], h.Sum(nil))
-	return sum
 }
 
 // ErrNotQuiesced is the typed, retryable error Capture returns when
@@ -95,7 +77,7 @@ var ErrNotQuiesced = core.ErrNotQuiesced
 func Capture(m *machine.Machine, rt *core.Runtime) (*Snapshot, error) {
 	s := &Snapshot{
 		SimCycles: m.CPU.Cycles(),
-		ImageSum:  ImageSum(m.Image),
+		ImageSum:  m.Image.Sum(),
 		Console:   append([]byte(nil), m.Console()...),
 		Pages:     m.Mem.ExportPages(),
 		MemStats:  m.Mem.Stats,
@@ -120,7 +102,7 @@ func Capture(m *machine.Machine, rt *core.Runtime) (*Snapshot, error) {
 // wholesale; the runtime's binding state is imported last so its
 // per-site byte windows are re-read from the restored memory.
 func Apply(s *Snapshot, m *machine.Machine, rt *core.Runtime) error {
-	if got := ImageSum(m.Image); got != s.ImageSum {
+	if m.Image.Sum() != s.ImageSum {
 		return fmt.Errorf("snapshot: taken from a different image (segment/entry hash mismatch)")
 	}
 	if len(s.CPUs) == 0 {
@@ -168,6 +150,23 @@ func (s *Snapshot) Encode() []byte {
 	w := writer{b: make([]byte, headerLen, headerLen+size.n+4)}
 	s.putBody(&w)
 	return seal(w.b)
+}
+
+// digestStage is the initial staging-buffer size of the hashing writer
+// Digest runs. It holds the longest field run between two page-sized
+// byte runs of a one-CPU machine: a CPU record with its 512-entry BTB
+// (about 9.5 KiB) and the counters before it.
+const digestStage = 12 << 10
+
+// Digest returns the hex SHA-256 of the snapshot's payload — the same
+// string as Digest(s.Encode()) — by streaming the payload into the
+// hash as it is serialized: no payload buffer, no container, no CRC.
+func (s *Snapshot) Digest() string {
+	w := writer{b: make([]byte, 0, digestStage), h: sha256.New()}
+	s.putBody(&w)
+	w.flush()
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(w.h.Sum(sum[:0]))
 }
 
 // putBody writes the payload: everything between header and CRC.

@@ -46,7 +46,7 @@ type sys struct {
 
 // buildPair constructs two machine+runtime pairs from one image — the
 // restore situation: same image, fresh state.
-func buildPair(t *testing.T) (*sys, *sys) {
+func buildPair(t testing.TB) (*sys, *sys) {
 	t.Helper()
 	img, _, err := core.BuildImage(core.GenOptions{}, core.Source{Name: "snap.mvc", Text: testSrc})
 	if err != nil {
@@ -66,14 +66,14 @@ func buildPair(t *testing.T) (*sys, *sys) {
 	return mk(), mk()
 }
 
-func (s *sys) setSwitch(t *testing.T, name string, v int64) {
+func (s *sys) setSwitch(t testing.TB, name string, v int64) {
 	t.Helper()
 	if err := s.m.WriteGlobal(name, 4, uint64(v)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func (s *sys) call(t *testing.T, name string, args ...uint64) uint64 {
+func (s *sys) call(t testing.TB, name string, args ...uint64) uint64 {
 	t.Helper()
 	v, err := s.m.CallNamed(name, args...)
 	if err != nil {
@@ -84,7 +84,7 @@ func (s *sys) call(t *testing.T, name string, args ...uint64) uint64 {
 
 // warm runs the program into an interesting state: committed variant,
 // warmed caches, non-trivial console.
-func (s *sys) warm(t *testing.T) {
+func (s *sys) warm(t testing.TB) {
 	t.Helper()
 	s.setSwitch(t, "mode", 1)
 	s.setSwitch(t, "verbose", 1)
@@ -316,13 +316,18 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode must never panic, and anything it accepts must be
-		// canonical: re-encoding reproduces the input byte-for-byte.
+		// canonical: re-encoding reproduces the input byte-for-byte,
+		// and streaming its digest hashes the input's payload.
 		got, err := Decode(data)
 		if err != nil {
 			return
 		}
 		if !bytes.Equal(got.Encode(), data) {
 			t.Fatal("accepted a non-canonical encoding")
+		}
+		// The streaming digest of what was decoded names the input.
+		if want, err := Digest(data); err != nil || got.Digest() != want {
+			t.Fatalf("Digest() = %s, Digest(data) = %s (%v)", got.Digest(), want, err)
 		}
 		// Importing accepted CPU states may refuse them (a short or
 		// repeated icache line) but must never panic.
