@@ -22,8 +22,9 @@
 // A predecoded-instruction cache (decodecache.go) is layered on top of
 // each icache line so the steady-state Step loop dispatches on cached
 // isa.Inst structs instead of re-decoding raw bytes. It is a pure
-// host-side accelerator derived only from the line's byte snapshot,
-// so it never changes simulated cycle counts.
+// host-side accelerator derived only from the line's page number and
+// byte snapshot, so it never changes simulated cycle counts, and CPUs
+// holding the same line share it through a Code store (code.go).
 //
 // Cycle counts are deterministic: the same program always reports the
 // same number of cycles.
@@ -150,11 +151,12 @@ func DefaultConfig() Config {
 	}
 }
 
+// btbEntry keeps its two uint64s first so it packs into 24 bytes.
 type btbEntry struct {
-	valid   bool
 	tag     uint64
-	counter uint8  // 2-bit saturating; >= 2 predicts taken
 	target  uint64 // predicted indirect target
+	valid   bool
+	counter uint8 // 2-bit saturating; >= 2 predicts taken
 }
 
 // Stats accumulates the simulated execution statistics: counts of
@@ -233,10 +235,11 @@ type CPU struct {
 	ras  []uint64
 	rasN int
 
-	icache      map[uint64]*icLine // page number -> cached line
-	superblocks bool               // chain straight-line runs for Run's fast path
-	lastPN      uint64             // page number memo for the decode-cache fast path
-	lastLine    *icLine            // line memo; nil = invalid, cleared by FlushICache
+	icache      map[uint64]icLine // page number -> cached line
+	code        *Code             // where lines are interned; nil until the first fill
+	superblocks bool              // chain straight-line runs for Run's fast path
+	lastPN      uint64            // page number memo for the decode-cache fast path
+	lastLine    *lineCode         // line memo; nil = invalid, cleared by FlushICache
 
 	mode       Mode
 	intrOn     bool
@@ -267,43 +270,11 @@ type CPU struct {
 	tier  TierStats
 }
 
+// icLine is one CPU's icache line: the shared decoded line it was
+// filled with (code.go) and what only this CPU knows about the fill.
 type icLine struct {
-	// bytes is the snapshot of the page at fill time. It is immutable:
-	// exported States and imported lines share it instead of copying.
-	bytes   []byte
-	version uint64 // page version at fill time; ICacheStale compares it
-
-	// ents holds the derived caches for the offsets actually executed
-	// (decodecache.go, superblock.go), densely, in first-use order.
-	// They derive only from bytes and die with the line, so
-	// FlushICache invalidates both together. nsb counts real
-	// (non-sentinel) blocks so FlushICache can account invalidations
-	// without rescanning.
-	ents []lineEnt
-	nsb  int
-
-	// idx maps an in-page offset to 1 + its index in ents; 0 means
-	// nothing is cached there. It is pointer-free and the last field,
-	// so the garbage collector never scans it.
-	idx [mem.PageSize]uint16
-}
-
-// lineEnt is the cached state of one in-page offset.
-type lineEnt struct {
-	in isa.Inst    // predecoded instruction; Len == 0 = not decoded
-	sb *superblock // block headed here, the sbReject sentinel, or nil
-}
-
-// ent returns the entry for in-page offset off, appending an empty one
-// on first use. The pointer is valid until the next ent call.
-func (l *icLine) ent(off uint64) *lineEnt {
-	i := l.idx[off]
-	if i == 0 {
-		l.ents = append(l.ents, lineEnt{})
-		i = uint16(len(l.ents))
-		l.idx[off] = i
-	}
-	return &l.ents[i-1]
+	version uint64    // page version at fill time; ICacheStale compares it
+	code    *lineCode // page number, byte snapshot and derived entries
 }
 
 // New returns a CPU executing from m with the given cost model.
@@ -316,7 +287,7 @@ func New(m *mem.Memory, cfg Config) *CPU {
 		cfg:         cfg,
 		btb:         make([]btbEntry, cfg.BTBSize),
 		ras:         make([]uint64, cfg.RASDepth),
-		icache:      make(map[uint64]*icLine),
+		icache:      make(map[uint64]icLine),
 		superblocks: superblocksDefault,
 		tracer:      cfg.Tracer,
 	}
@@ -423,7 +394,7 @@ func (c *CPU) FlushICache(addr, n uint64) {
 	last := (addr + n - 1) >> mem.PageShift
 	for pn := first; pn <= last; pn++ {
 		if line, ok := c.icache[pn]; ok {
-			c.tier.BlockInvalidates += uint64(line.nsb)
+			c.tier.BlockInvalidates += uint64(line.code.nsb)
 			delete(c.icache, pn)
 		}
 	}
@@ -490,24 +461,19 @@ func (c *CPU) icFetch(addr uint64, buf []byte) (int, error) {
 		pn := addr >> mem.PageShift
 		line, ok := c.icache[pn]
 		if !ok {
-			prot, mapped := c.Mem.ProtOf(addr)
-			if !mapped || prot&mem.Exec == 0 {
+			page, ver, err := c.Mem.FetchPage(addr)
+			if err != nil {
 				if got > 0 {
 					return got, nil // partial window; decoder decides
 				}
-				return 0, &mem.Fault{Addr: addr, Kind: mem.AccessExec, Prot: prot, Mapped: mapped}
+				return 0, err
 			}
-			pageBytes := make([]byte, mem.PageSize)
-			if err := c.Mem.Fetch(pn<<mem.PageShift, pageBytes); err != nil {
-				return got, err
-			}
-			ver, _ := c.Mem.PageVersion(addr)
-			line = &icLine{bytes: pageBytes, version: ver}
+			line = icLine{version: ver, code: c.Code().intern(pn, page, false)}
 			c.icache[pn] = line
 			c.stats.ICacheFills++
 		}
 		off := int(addr & (mem.PageSize - 1))
-		n := copy(buf[got:], line.bytes[off:])
+		n := copy(buf[got:], line.code.bytes[off:])
 		got += n
 		addr += uint64(n)
 	}

@@ -15,16 +15,22 @@
 //     A fresh line therefore costs its byte snapshot plus the index,
 //     and grows only with the code actually run.
 //   - Entries are derived exclusively from the line's byte snapshot
-//     and die with the line in FlushICache. Patching without a flush
-//     therefore keeps executing the stale *decoded* instruction, just
-//     as the raw interpreter keeps executing the stale bytes.
+//     and leave the CPU together with the line in FlushICache.
+//     Patching without a flush therefore keeps executing the stale
+//     *decoded* instruction, just as the raw interpreter keeps
+//     executing the stale bytes.
 //   - An instruction is cached only when its whole fetch window lies
 //     within one page. A window that straddles a page boundary draws
 //     bytes from two lines with independent lifetimes (the second page
 //     can be flushed while the first stays cached), so those always
 //     take the fetch-and-decode slow path.
-//   - Each CPU owns its icache, so each SMP hardware thread keeps a
-//     private decode cache, mirroring real per-core frontends.
+//   - Each CPU owns its icache lines, so one thread's flush never
+//     drops another's. The decoded entries behind a line are shared:
+//     they live in the CPU's Code store (code.go), keyed by page
+//     number and bytes, so every CPU filling the same bytes for the
+//     same page — a machine's SMP threads, the machines of a fleet
+//     shard — reuses one decode, and a refill after a flush of
+//     unchanged bytes decodes nothing.
 //
 // The cache is a pure host-side accelerator: every entry is the decode
 // of its line's own byte snapshot, so simulated cycle counts and
@@ -49,10 +55,11 @@ func (c *CPU) cachedInst(pc uint64) *isa.Inst {
 	line := c.lastLine
 	if line == nil || c.lastPN != pn {
 		var ok bool
-		line, ok = c.icache[pn]
+		l, ok := c.icache[pn]
 		if !ok {
 			return nil
 		}
+		line = l.code
 		c.lastPN, c.lastLine = pn, line
 	}
 	i := line.idx[pc&(mem.PageSize-1)]
@@ -80,5 +87,5 @@ func (c *CPU) cacheInst(pc uint64, in isa.Inst) {
 	if !ok {
 		return
 	}
-	line.ent(off).in = in
+	line.code.ent(off).in = in
 }

@@ -29,7 +29,7 @@ func hotLoop(n int32) []byte {
 // real superblock must equal the decode at its offset.
 func checkLineCaches(t *testing.T, c *CPU) {
 	t.Helper()
-	decodeAt := func(line *icLine, off uint64) isa.Inst {
+	decodeAt := func(line *lineCode, off uint64) isa.Inst {
 		w := line.bytes[off:]
 		if len(w) >= 2 && isa.Op(w[0]) == isa.NOPN && int(w[1]) > len(w) {
 			// NOPN padding may run past the page; only its length byte
@@ -42,7 +42,11 @@ func checkLineCaches(t *testing.T, c *CPU) {
 		}
 		return in
 	}
-	for pn, line := range c.icache {
+	for pn, l := range c.icache {
+		line := l.code
+		if line.pn != pn {
+			t.Fatalf("icache line %#x holds the decoded line of page %#x", pn, line.pn)
+		}
 		base := pn << mem.PageShift
 		for off, i := range &line.idx {
 			if i == 0 {
@@ -122,7 +126,7 @@ func TestDecodeCacheCycleInvariance(t *testing.T) {
 		for !c.Halted() {
 			if fresh {
 				for _, line := range c.icache {
-					line.ents, line.idx, line.nsb = nil, [mem.PageSize]uint16{}, 0
+					line.code.ents, line.code.idx, line.code.nsb = nil, [mem.PageSize]uint16{}, 0
 				}
 			}
 			if err := c.Step(); err != nil {

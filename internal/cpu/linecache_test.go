@@ -70,10 +70,10 @@ func TestExportStateSharesLineBytes(t *testing.T) {
 	}
 	for _, ls := range s.ICache {
 		exported := unsafe.SliceData(ls.Bytes)
-		if unsafe.SliceData(c.icache[ls.PN].bytes) != exported {
+		if unsafe.SliceData(c.icache[ls.PN].code.bytes) != exported {
 			t.Errorf("line %#x: ExportState copied the line bytes", ls.PN)
 		}
-		if unsafe.SliceData(fresh.icache[ls.PN].bytes) != exported {
+		if unsafe.SliceData(fresh.icache[ls.PN].code.bytes) != exported {
 			t.Errorf("line %#x: ImportState copied the line bytes", ls.PN)
 		}
 	}

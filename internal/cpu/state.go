@@ -13,16 +13,18 @@
 // A line is exported as its byte snapshot and nothing else. The
 // predecoded instructions and superblocks layered on it are host
 // accelerators: each one is a pure function of the line bytes and its
-// pc (decodecache.go, superblock.go), so an imported line starts empty
-// and rebuilds them lazily on first execution, exactly as a freshly
-// filled line does. Likewise the interpreter tier a CPU runs
-// (superblocks on or off) and its TierStats belong to the CPU, not to
-// the state: ImportState keeps both.
+// pc (decodecache.go, superblock.go), so an imported line is interned
+// in the CPU's Code store (code.go) exactly as a freshly filled line
+// is: it reuses what the store already derived for the same page and
+// bytes, and derives the rest lazily on first execution. Likewise the
+// interpreter tier a CPU runs (superblocks on or off) and its
+// TierStats belong to the CPU, not to the state: ImportState keeps
+// both.
 //
 // Host wiring — the memory reference, the cost model, tracers, fault
-// injectors, device callbacks, the tier and its counters, and the
-// decode-cache line memo — is deliberately not state: it belongs to
-// the constructing harness. state_test.go enumerates every CPU field
+// injectors, device callbacks, the tier and its counters, the Code
+// store and the decode-cache line memo — is deliberately not state: it
+// belongs to the constructing harness. state_test.go enumerates every CPU field
 // and fails on a field added without classifying it as serialized or
 // host wiring.
 
@@ -38,10 +40,10 @@ import (
 
 // BTBState is one exported branch-target-buffer entry.
 type BTBState struct {
-	Valid   bool
 	Tag     uint64
-	Counter uint8
 	Target  uint64
+	Valid   bool
+	Counter uint8
 }
 
 // ICLineState is one exported instruction-cache line: the page-byte
@@ -104,7 +106,7 @@ func (c *CPU) ExportState() State {
 	}
 	s.ICache = make([]ICLineState, 0, len(c.icache))
 	for pn, line := range c.icache {
-		s.ICache = append(s.ICache, ICLineState{PN: pn, Version: line.version, Bytes: line.bytes})
+		s.ICache = append(s.ICache, ICLineState{PN: pn, Version: line.version, Bytes: line.code.bytes})
 	}
 	sort.Slice(s.ICache, func(i, j int) bool { return s.ICache[i].PN < s.ICache[j].PN })
 	return s
@@ -113,11 +115,13 @@ func (c *CPU) ExportState() State {
 // ImportState restores a previously exported state onto this CPU. The
 // CPU must have been constructed with the same Config the exporting
 // CPU used (the predictor geometry is checked; the cost model is the
-// caller's contract). The restored lines share each ICLineState's
-// Bytes (read-only, as ExportState documents), so one State can be
-// imported any number of times without copying. The lines start with
-// no derived entries; decodes and superblocks rebuild lazily as the
-// CPU executes them. The CPU's tier and TierStats are left untouched.
+// caller's contract). Each line is interned in the CPU's Code: a page
+// and bytes the store already holds reuse its decoded entries and its
+// byte snapshot (equal in content); a new line shares the
+// ICLineState's Bytes (read-only, as ExportState documents) and
+// derives its entries lazily as the CPU executes them. Either way one
+// State can be imported any number of times without copying. The
+// CPU's tier and TierStats are left untouched.
 func (c *CPU) ImportState(s State) error {
 	if len(s.BTB) != len(c.btb) {
 		return fmt.Errorf("cpu: snapshot BTB has %d entries, this CPU %d (different Config)", len(s.BTB), len(c.btb))
@@ -125,7 +129,8 @@ func (c *CPU) ImportState(s State) error {
 	if len(s.RAS) != len(c.ras) {
 		return fmt.Errorf("cpu: snapshot RAS depth %d, this CPU %d (different Config)", len(s.RAS), len(c.ras))
 	}
-	icache := make(map[uint64]*icLine, len(s.ICache))
+	code := c.Code()
+	icache := make(map[uint64]icLine, len(s.ICache))
 	for _, ls := range s.ICache {
 		if len(ls.Bytes) != mem.PageSize {
 			return fmt.Errorf("cpu: snapshot icache line %#x holds %d bytes, want %d", ls.PN, len(ls.Bytes), mem.PageSize)
@@ -133,7 +138,7 @@ func (c *CPU) ImportState(s State) error {
 		if _, dup := icache[ls.PN]; dup {
 			return fmt.Errorf("cpu: snapshot repeats icache line %#x", ls.PN)
 		}
-		icache[ls.PN] = &icLine{bytes: ls.Bytes, version: ls.Version}
+		icache[ls.PN] = icLine{version: ls.Version, code: code.intern(ls.PN, ls.Bytes, true)}
 	}
 	c.regs = s.Regs
 	c.pc = s.PC

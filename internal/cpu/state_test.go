@@ -8,9 +8,9 @@ import (
 )
 
 // TestCPUFieldsClassifiedForSnapshot is the snapshot-completeness
-// gate: every field of CPU and icLine must be explicitly classified as
-// serialized (captured by ExportState) or host wiring (reconstructed
-// by the harness, not state). Adding a field without deciding its
+// gate: every field of CPU, icLine and lineCode must be explicitly
+// classified as serialized (captured by ExportState) or host wiring
+// (reconstructed by the harness, not state). Adding a field without deciding its
 // disposition fails this test — the bug class where new machine state
 // silently never reaches a snapshot, so a restored run diverges.
 func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
@@ -30,18 +30,24 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 		"inject":     true, "id": true, // fault-injection wiring
 		"OutB": true, "InB": true, // device callbacks
 		"lastPN": true, "lastLine": true, // decode-cache memo, rebuilt lazily
+		"code":        true, // decoded-line store, shared by the harness's CPUs
 		"cycleStop":   true, // transient RunUntil pause mark, zero at capture
 		"superblocks": true, // interpreter tier: the constructor's choice
 		"tier":        true, // interpreter-tier counters
 	}
 	checkFields(t, reflect.TypeOf(CPU{}), serialized, hostWiring)
 
-	lineSerialized := map[string]bool{"bytes": true, "version": true}
-	lineHostWiring := map[string]bool{
-		// Derived from bytes alone and rebuilt lazily after import.
+	// A line's version is serialized; its lineCode is shared host
+	// state, of which only the page number and bytes are serialized.
+	checkFields(t, reflect.TypeOf(icLine{}),
+		map[string]bool{"version": true}, map[string]bool{"code": true})
+	codeSerialized := map[string]bool{"pn": true, "bytes": true}
+	codeHostWiring := map[string]bool{
+		// Derived from pn and bytes alone, and rebuilt lazily or
+		// reused from the store after import.
 		"ents": true, "idx": true, "nsb": true,
 	}
-	checkFields(t, reflect.TypeOf(icLine{}), lineSerialized, lineHostWiring)
+	checkFields(t, reflect.TypeOf(lineCode{}), codeSerialized, codeHostWiring)
 }
 
 func checkFields(t *testing.T, typ reflect.Type, serialized, hostWiring map[string]bool) {

@@ -32,12 +32,15 @@
 // path stops re-attempting the build and falls through to the decode
 // cache.
 //
-// Invalidation. Blocks are derived exclusively from the line's byte
-// snapshot and are stored on the line itself, so FlushICache drops
-// them together with the line — the same lifetime the decode cache
-// has, and therefore the same lifetime the BRK text-poke protocol
-// already relies on: the poke's phase-1 flush kills every block built
-// over the old bytes before any CPU can fetch the breakpoint.
+// Invalidation. Blocks are derived exclusively from the line's page
+// number and byte snapshot and are stored with the line's shared
+// decoded state (code.go), so FlushICache takes them out of the CPU
+// together with the line — the same lifetime the decode cache has,
+// and therefore the same lifetime the BRK text-poke protocol already
+// relies on: after the poke's phase-1 flush the CPU refills the
+// breakpoint bytes, a different line, and no block built over the old
+// bytes is reachable from it. A refill of unchanged bytes finds the
+// same shared line and its blocks again, so it builds nothing.
 // Patching *without* a flush keeps executing the stale block, just as
 // the raw interpreter keeps executing the stale bytes.
 //
@@ -120,15 +123,15 @@ var sbReject = &superblock{}
 // cachedBlock returns the block starting at pc (which may be the
 // sbReject sentinel) and the resident line, either of which may be
 // nil. It shares the decode cache's last-line memo.
-func (c *CPU) cachedBlock(pc uint64) (*superblock, *icLine) {
+func (c *CPU) cachedBlock(pc uint64) (*superblock, *lineCode) {
 	pn := pc >> mem.PageShift
 	line := c.lastLine
 	if line == nil || c.lastPN != pn {
-		var ok bool
-		line, ok = c.icache[pn]
+		l, ok := c.icache[pn]
 		if !ok {
 			return nil, nil
 		}
+		line = l.code
 		c.lastPN, c.lastLine = pn, line
 	}
 	i := line.idx[pc&(mem.PageSize-1)]
@@ -149,13 +152,16 @@ func sbTerminator(op isa.Op) bool {
 }
 
 // buildBlock decodes a superblock starting at pc from line's byte
-// snapshot and caches it on the line. Build is pure host work: no
-// simulated state changes and no simulated cycles pass.
-func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
+// snapshot and caches it on the line. The chain is assembled in the
+// store's scratch buffer and copied out at its exact length, so a
+// build allocates the block and its entries and nothing else. Build is
+// pure host work: no simulated state changes and no simulated cycles
+// pass.
+func (c *CPU) buildBlock(line *lineCode, pc uint64) *superblock {
 	pn := pc >> mem.PageShift
-	b := &superblock{}
+	chain := c.Code().scratch()
 	cur := pc
-	for len(b.entries) < maxBlockInsts && cur>>mem.PageShift == pn {
+	for len(chain) < maxBlockInsts && cur>>mem.PageShift == pn {
 		off := cur & (mem.PageSize - 1)
 		w := line.bytes[off:]
 		if len(w) > maxInstLen {
@@ -172,15 +178,16 @@ func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
 		if fn == nil {
 			break // HLT, BRK, HCALL or an op with no handler
 		}
-		b.entries = append(b.entries, sbEntry{fn: fn, in: in, pc: cur, next: cur + uint64(in.Len)})
+		chain = append(chain, sbEntry{fn: fn, in: in, pc: cur, next: cur + uint64(in.Len)})
 		if sbTerminator(in.Op) {
 			break
 		}
 		cur += uint64(in.Len)
 	}
-	if len(b.entries) == 0 {
-		b = sbReject
-	} else {
+	b := sbReject
+	if len(chain) > 0 {
+		b = &superblock{entries: make([]sbEntry, len(chain))}
+		copy(b.entries, chain)
 		line.nsb++
 		c.tier.BlockBuilds++
 	}

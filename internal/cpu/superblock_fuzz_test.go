@@ -19,7 +19,9 @@ import (
 // instructions, calls, traps, privileged ops); the fuzzer mutates from
 // there into arbitrary garbage, which must still agree byte for byte,
 // and leave every derived line cache equal to a fresh decode
-// (checkLineCaches).
+// (checkLineCaches). Each input also runs a second time on a CPU
+// sharing the first one's Code store, so the blocks and decodes it
+// reuses are held to the same oracle.
 func FuzzBlockVsStep(f *testing.F) {
 	f.Add(hotLoopProgram(20))
 	{
@@ -106,12 +108,21 @@ func FuzzBlockVsStep(f *testing.F) {
 		}
 
 		const maxSteps = 2000
-		blocks := build()
-		blocks.SetSuperblocks(true)
-		nA, errA := blocks.Run(maxSteps)
-		if errA != nil && strings.Contains(errA.Error(), "exceeded") {
-			errA = nil // budget exhausted, not an execution error
+		runBlocks := func(c *CPU) (uint64, error) {
+			c.SetSuperblocks(true)
+			n, err := c.Run(maxSteps)
+			if err != nil && strings.Contains(err.Error(), "exceeded") {
+				err = nil // budget exhausted, not an execution error
+			}
+			return n, err
 		}
+		blocks := build()
+		nA, errA := runBlocks(blocks)
+		// The same bytes at the same address, run on a CPU whose store
+		// the first CPU already filled with decodes and blocks.
+		shared := build()
+		shared.SetCode(blocks.Code())
+		nS, errS := runBlocks(shared)
 
 		ref := build()
 		ref.SetSuperblocks(false) // Step never uses blocks anyway
@@ -125,38 +136,49 @@ func FuzzBlockVsStep(f *testing.F) {
 			nB++
 		}
 
-		if nA != nB {
-			t.Fatalf("retired %d via blocks, %d via Step", nA, nB)
-		}
-		switch {
-		case (errA == nil) != (errB == nil):
-			t.Fatalf("errors diverge: blocks %v, Step %v", errA, errB)
-		case errA != nil && errA.Error() != errB.Error():
-			t.Fatalf("error text diverges:\nblocks: %v\nStep:   %v", errA, errB)
-		}
-		if blocks.PC() != ref.PC() || blocks.Cycles() != ref.Cycles() || blocks.Halted() != ref.Halted() {
-			t.Fatalf("state diverges: pc %#x/%#x cycles %d/%d halted %v/%v",
-				blocks.PC(), ref.PC(), blocks.Cycles(), ref.Cycles(), blocks.Halted(), ref.Halted())
-		}
-		for r := 0; r < isa.NumRegs; r++ {
-			if blocks.Reg(isa.Reg(r)) != ref.Reg(isa.Reg(r)) {
-				t.Fatalf("r%d diverges: %#x vs %#x", r, blocks.Reg(isa.Reg(r)), ref.Reg(isa.Reg(r)))
-			}
-		}
-		if sa, sb := blocks.Stats(), ref.Stats(); sa != sb {
-			t.Fatalf("architectural stats diverge:\nblocks: %+v\nStep:   %+v", sa, sb)
-		}
-		var da, db [mem.PageSize]byte
-		if err := blocks.Mem.Read(dataBase, da[:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Mem.Read(dataBase, db[:]); err != nil {
-			t.Fatal(err)
-		}
-		if da != db {
-			t.Fatal("data page contents diverge")
-		}
+		agree(t, "blocks", blocks, nA, errA, ref, nB, errB)
+		agree(t, "shared store", shared, nS, errS, ref, nB, errB)
+		checkLineCaches(t, shared)
 		checkLineCaches(t, blocks)
 		checkLineCaches(t, ref)
 	})
+}
+
+// agree fails t unless c, run through the superblock dispatcher,
+// retired exactly what ref did by single-stepping: the same count,
+// error, registers, pc, cycles, halt state, architectural stats and
+// data page.
+func agree(t *testing.T, what string, c *CPU, n uint64, err error, ref *CPU, nRef uint64, errRef error) {
+	t.Helper()
+	if n != nRef {
+		t.Fatalf("%s: retired %d via blocks, %d via Step", what, n, nRef)
+	}
+	switch {
+	case (err == nil) != (errRef == nil):
+		t.Fatalf("%s: errors diverge: blocks %v, Step %v", what, err, errRef)
+	case err != nil && err.Error() != errRef.Error():
+		t.Fatalf("%s: error text diverges:\nblocks: %v\nStep:   %v", what, err, errRef)
+	}
+	if c.PC() != ref.PC() || c.Cycles() != ref.Cycles() || c.Halted() != ref.Halted() {
+		t.Fatalf("%s: state diverges: pc %#x/%#x cycles %d/%d halted %v/%v",
+			what, c.PC(), ref.PC(), c.Cycles(), ref.Cycles(), c.Halted(), ref.Halted())
+	}
+	for r := 0; r < isa.NumRegs; r++ {
+		if c.Reg(isa.Reg(r)) != ref.Reg(isa.Reg(r)) {
+			t.Fatalf("%s: r%d diverges: %#x vs %#x", what, r, c.Reg(isa.Reg(r)), ref.Reg(isa.Reg(r)))
+		}
+	}
+	if sa, sb := c.Stats(), ref.Stats(); sa != sb {
+		t.Fatalf("%s: architectural stats diverge:\nblocks: %+v\nStep:   %+v", what, sa, sb)
+	}
+	var da, db [mem.PageSize]byte
+	if err := c.Mem.Read(dataBase, da[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Mem.Read(dataBase, db[:]); err != nil {
+		t.Fatal(err)
+	}
+	if da != db {
+		t.Fatalf("%s: data page contents diverge", what)
+	}
 }

@@ -166,9 +166,12 @@ func multiPageProgram(t *testing.T) *CPU {
 
 // TestFlushOverlapInvalidatesBlocksExactly drives flush ranges that
 // partially overlap superblock lines — zero-length, starting mid-block,
-// ending mid-line, and a wide multi-line span — and checks blocks die
-// exactly with their lines: touched pages rebuild, untouched pages
-// keep their blocks.
+// ending mid-line, and a wide multi-line span — and checks blocks leave
+// the CPU exactly with their lines: every touched page invalidates its
+// blocks, untouched pages keep theirs. The blocks themselves live in
+// the CPU's Code store, keyed by page and bytes, so refilling a flushed
+// line of unchanged bytes builds nothing; only a patched page builds
+// its blocks anew.
 func TestFlushOverlapInvalidatesBlocksExactly(t *testing.T) {
 	c := multiPageProgram(t)
 	// Blocks form lazily — the first visit to a pc fills the line via
@@ -212,25 +215,54 @@ func TestFlushOverlapInvalidatesBlocksExactly(t *testing.T) {
 	check("zero-length flush")
 
 	// Flush starting mid-block on page 0 (inside the MOVI's bytes):
-	// only page 0's line and blocks die; pages 1-2 keep theirs.
+	// only page 0's line and blocks leave; the refill of its unchanged
+	// bytes finds them again.
 	c.FlushICache(textBase+5, 1)
 	invals += perPage[0]
-	builds += perPage[0]
 	check("mid-block flush")
 
 	// Flush ending mid-line on page 1 (one byte into it): pages 0 and 1
-	// die, page 2 survives.
+	// leave, page 2 stays.
 	c.FlushICache(textBase, mem.PageSize+1)
 	invals += perPage[0] + perPage[1]
-	builds += perPage[0] + perPage[1]
 	check("mid-line flush")
 
 	// Wide multi-line flush from the last byte of page 0 across
-	// everything: all three lines and their blocks die.
+	// everything: all three lines and their blocks leave.
 	c.FlushICache(textBase+mem.PageSize-1, 2*mem.PageSize+2)
 	invals += perPage[0] + perPage[1] + perPage[2]
-	builds += perPage[0] + perPage[1] + perPage[2]
 	check("wide flush")
+
+	// Patch page 1's MOVI immediate: new bytes, a new line, and its
+	// blocks build afresh; pages 0 and 2 are not touched.
+	page1 := textBase + mem.PageSize
+	orig := make([]byte, 10)
+	if err := c.Mem.Read(page1, orig); err != nil {
+		t.Fatal(err)
+	}
+	var a isa.Asm
+	a.Movi(2, 42)
+	if err := c.Mem.WriteForce(page1, a.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	c.FlushICache(page1, 1)
+	invals += perPage[1]
+	builds += perPage[1]
+	check("patched-page flush")
+	if c.Reg(2) != 42 {
+		t.Fatalf("r2 = %d after the patch, want 42", c.Reg(2))
+	}
+
+	// Reverting the patch restores bytes the store already decoded.
+	if err := c.Mem.WriteForce(page1, orig); err != nil {
+		t.Fatal(err)
+	}
+	c.FlushICache(page1, 1)
+	invals += perPage[1]
+	check("reverted-page flush")
+	if c.Reg(2) != 2 {
+		t.Fatalf("r2 = %d after the revert, want 2", c.Reg(2))
+	}
 }
 
 // TestSuperblockStaleUntilFlush pins the icache contract under block

@@ -33,9 +33,9 @@ type runOutcome struct {
 // snapSystem builds a machine+runtime pair manually from a shared
 // image, so every run in a comparison carries identical (absent)
 // observability attachments.
-func snapSystem(t *testing.T, img *link.Image) *core.System {
+func snapSystem(t *testing.T, img *link.Image, opts ...machine.Option) *core.System {
 	t.Helper()
-	m, err := machine.New(img)
+	m, err := machine.New(img, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

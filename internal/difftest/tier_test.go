@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/kernelsim"
 	"repro/internal/link"
+	"repro/internal/machine"
 	"repro/internal/muslsim"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -54,10 +56,10 @@ func tierWorkloads(t *testing.T) []tierWorkload {
 
 // start builds a configured system on the given tier, with the call
 // set up but not yet run.
-func (w tierWorkload) start(t *testing.T, superblocks bool) *core.System {
+func (w tierWorkload) start(t *testing.T, superblocks bool, opts ...machine.Option) *core.System {
 	t.Helper()
 	var sys *core.System
-	withSuperblocks(t, superblocks, func() { sys = snapSystem(t, w.img) })
+	withSuperblocks(t, superblocks, func() { sys = snapSystem(t, w.img, opts...) })
 	w.configure(sys)
 	if err := sys.Machine.StartCall(sys.Machine.CPU, w.entry, w.args...); err != nil {
 		t.Fatal(err)
@@ -130,6 +132,51 @@ func TestSnapshotRestoresAcrossTiers(t *testing.T) {
 			}
 			if on.Machine.TotalTierStats().BlockInsts == 0 {
 				t.Error("restored machine ran no superblocks")
+			}
+		})
+	}
+}
+
+// TestSharedCodeMachinesAgree: machines sharing one decoded-code store,
+// as a fleet shard's do, end on the outcome and digest of a machine
+// with a store of its own. The second machine decodes nothing the
+// first did not: it builds no superblocks. A snapshot of one, restored
+// onto a third machine on the same store, finishes on that digest too.
+func TestSharedCodeMachinesAgree(t *testing.T) {
+	for _, w := range tierWorkloads(t) {
+		t.Run(w.name, func(t *testing.T) {
+			want := finish(t, w.start(t, true))
+
+			code := cpu.NewCode()
+			first := w.start(t, true, machine.WithCode(code))
+			second := w.start(t, true, machine.WithCode(code))
+			mid := w.start(t, true, machine.WithCode(code))
+			for i, sys := range []*core.System{first, second} {
+				if got := finish(t, sys); got != want {
+					t.Errorf("machine %d on a shared store diverged:\nalone  %+v\nshared %+v", i, want, got)
+				}
+			}
+			if got := second.Machine.TotalTierStats(); got.BlockBuilds != 0 || got.BlockInsts == 0 {
+				t.Errorf("second machine built %d superblocks and ran %d block instructions; want 0 and > 0",
+					got.BlockBuilds, got.BlockInsts)
+			}
+
+			if _, err := mid.Machine.CPU.RunUntil(want.cycles/2, mid.Machine.MaxSteps); err != nil {
+				t.Fatal(err)
+			}
+			if mid.Machine.CPU.Halted() {
+				t.Fatalf("run finished before the checkpoint cycle %d", want.cycles/2)
+			}
+			snap, err := snapshot.Capture(mid.Machine, mid.RT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := snapSystem(t, w.img, machine.WithCode(code))
+			if err := snapshot.Apply(snap, restored.Machine, restored.RT); err != nil {
+				t.Fatal(err)
+			}
+			if got := finish(t, restored); got != want {
+				t.Errorf("restore onto a shared store diverged:\nuninterrupted %+v\nrestored      %+v", want, got)
 			}
 		})
 	}

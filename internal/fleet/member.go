@@ -106,9 +106,11 @@ func (mb *member) boot() error {
 }
 
 // incarnate builds a fresh machine+runtime pair from the fleet image
-// with the member's commit options, tracer and step budget.
+// with the member's commit options, tracer and step budget. The
+// machine decodes into its shard's code store, which only the shard's
+// goroutine (or the coordinator at the barrier) ever touches.
 func (mb *member) incarnate() error {
-	m, err := machine.New(mb.fl.img)
+	m, err := machine.New(mb.fl.img, machine.WithCode(mb.sh.code))
 	if err != nil {
 		return fmt.Errorf("fleet: machine %d: %w", mb.id, err)
 	}

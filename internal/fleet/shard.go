@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"repro/internal/cpu"
 	"repro/internal/metrics"
 )
 
@@ -25,6 +26,12 @@ type shard struct {
 	// killsSinceEpoch feeds the migration policy: the coordinator
 	// evacuates a member away from the shard taking the most kills.
 	killsSinceEpoch int
+
+	// code is the decoded-code store every member machine of this
+	// shard interns its icache lines in, so a text page is decoded
+	// once per shard rather than once per boot, restore and refill. A
+	// migrant re-incarnates on its destination and uses that shard's.
+	code *cpu.Code
 
 	reg *metrics.Registry
 
@@ -54,7 +61,7 @@ type shard struct {
 const baselineTick = 512
 
 func newShard(idx int, fl *Fleet) *shard {
-	sh := &shard{idx: idx, fl: fl, reg: metrics.New()}
+	sh := &shard{idx: idx, fl: fl, code: cpu.NewCode(), reg: metrics.New()}
 	sh.cRequests = sh.reg.Counter("fleet_requests_total", "requests served (including replayed rounds)")
 	sh.cBatches = sh.reg.Counter("fleet_batches_total", "load-generator batches completed")
 	sh.cStormFlips = sh.reg.Counter("fleet_storm_flips_total", "config-flip storms attempted on a machine")

@@ -125,8 +125,9 @@ func (m *Machine) ICacheStale(addr, n uint64) bool {
 type Option func(*options)
 
 type options struct {
-	cfg cpu.Config
-	wx  bool
+	cfg  cpu.Config
+	wx   bool
+	code *cpu.Code
 }
 
 // WithConfig selects a CPU cost model (default cpu.DefaultConfig).
@@ -138,6 +139,15 @@ func WithConfig(cfg cpu.Config) Option {
 // be writable and executable at once.
 func WithWX() Option {
 	return func(o *options) { o.wx = true }
+}
+
+// WithCode makes the machine's CPUs intern their decoded icache lines
+// in code, shared with every other machine given the same store. A
+// cpu.Code is not safe for concurrent use: all machines sharing one
+// must run on one goroutine. Without it each machine gets a private
+// store, created on first use and shared by its AddCPU threads.
+func WithCode(code *cpu.Code) Option {
+	return func(o *options) { o.code = code }
 }
 
 // New creates a machine and loads img into it.
@@ -169,6 +179,9 @@ func New(img *link.Image, opts ...Option) (*Machine, error) {
 	}
 
 	c := cpu.New(m, o.cfg)
+	if o.code != nil {
+		c.SetCode(o.code)
+	}
 	c.SetReg(isa.SP, stackTop)
 	mach := &Machine{Mem: m, CPU: c, Image: img, MaxSteps: 1 << 40,
 		cpus: []*cpu.CPU{c}, stackTops: []uint64{stackTop}}

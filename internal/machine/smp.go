@@ -10,10 +10,11 @@ import (
 
 // AddCPU attaches another hardware thread to the machine. The new CPU
 // shares the memory (and therefore sees all binary patching) but has
-// its own registers, branch predictors and instruction cache — and,
-// layered on the icache, its own private predecoded-instruction cache,
-// so one thread's flush never invalidates another's decodes — and its
-// own stack. Instruction-level interleaving of CPUs is up to the
+// its own registers, branch predictors, instruction cache and stack.
+// It shares the primary CPU's decoded-code store (cpu.Code), so a line
+// of bytes another thread already decoded costs it no decode; each
+// thread still fills and flushes its own icache lines, so one thread's
+// flush never drops another's. Instruction-level interleaving of CPUs is up to the
 // caller (see Interleave); each instruction executes atomically, so
 // XCHG retains its locked semantics across CPUs.
 func (m *Machine) AddCPU() (*cpu.CPU, error) {
@@ -35,6 +36,7 @@ func (m *Machine) AddCPU() (*cpu.CPU, error) {
 	m.extraCPUs++
 	m.stackTops = append(m.stackTops, top)
 	c := cpu.New(m.Mem, m.CPU.Config())
+	c.SetCode(m.CPU.Code())
 	c.SetSuperblocks(m.CPU.SuperblocksEnabled())
 	c.SetReg(isa.SP, top)
 	c.OutB = m.CPU.OutB

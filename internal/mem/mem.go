@@ -468,6 +468,19 @@ func (m *Memory) Fetch(addr uint64, buf []byte) error {
 	})
 }
 
+// FetchPage returns the whole page holding addr for an instruction
+// cache fill, checking the Exec permission as Fetch does: its bytes,
+// without copying, and its write-version. The bytes alias the page, so
+// they are read-only and valid only until the next write or mapping
+// change; a caller that keeps them copies them.
+func (m *Memory) FetchPage(addr uint64) ([]byte, uint64, error) {
+	pg := m.lookup(addr >> PageShift)
+	if pg == nil || pg.prot&Exec == 0 {
+		return nil, 0, m.fault(addr, AccessExec)
+	}
+	return pg.data, pg.version, nil
+}
+
 // WriteForce copies buf to addr ignoring page protection (but still
 // requiring the pages to be mapped). It models the kernel-mode port of
 // the runtime library, which patches text through the direct mapping

@@ -90,6 +90,34 @@ func TestFetchFromExecPage(t *testing.T) {
 	}
 }
 
+// TestFetchPage: an icache fill sees the whole page and its version
+// without a copy, and faults exactly where Fetch does.
+func TestFetchPage(t *testing.T) {
+	m := New()
+	mustMap(t, m, 0x1000, PageSize, RWX)
+	if err := m.Write(0x1010, []byte{7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	data, ver, err := m.FetchPage(0x1234)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := m.PageVersion(0x1000)
+	if len(data) != PageSize || data[0x10] != 7 || data[0x11] != 8 || ver != want {
+		t.Errorf("FetchPage = %d bytes, [0x10:0x12]=%v, version %d; want %d bytes, [7 8], version %d",
+			len(data), data[0x10:0x12], ver, PageSize, want)
+	}
+	mustMap(t, m, 0x3000, PageSize, Read)
+	for _, addr := range []uint64{0x3000, 0x5000} {
+		_, _, err := m.FetchPage(addr)
+		wantErr := m.Fetch(addr, make([]byte, 1))
+		var f, wf *Fault
+		if !errors.As(err, &f) || !errors.As(wantErr, &wf) || *f != *wf {
+			t.Errorf("FetchPage(%#x) = %v, want Fetch's fault %v", addr, err, wantErr)
+		}
+	}
+}
+
 func TestProtectChangesPermissions(t *testing.T) {
 	m := New()
 	mustMap(t, m, 0x1000, PageSize, RX)
